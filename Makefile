@@ -1,4 +1,4 @@
-.PHONY: build test check bench bench-smoke bench-cert bench-robust bench-obs bench-parallel bench-serve bench-count bench-ladder fuzz-smoke certify-smoke metrics-smoke faults-smoke serve-smoke chaos-smoke count-smoke ladder-smoke fmt clean
+.PHONY: build test check bench bench-smoke bench-cert bench-robust bench-obs bench-parallel bench-serve bench-count bench-ladder fuzz-smoke certify-smoke metrics-smoke faults-smoke serve-smoke chaos-smoke count-smoke ladder-smoke perf-smoke fmt clean
 
 build:
 	dune build
@@ -9,9 +9,10 @@ test:
 # Tier-1 verification: build, unit/property tests, the differential
 # fuzzing oracle (all five backends against the explicit enumerator),
 # one end-to-end certified verdict, an instrumented profile run whose
-# metrics snapshot must self-validate, and the parallel-engine
-# no-regression gate (work stealing, warm sessions, portfolio).
-check: build test fuzz-smoke certify-smoke metrics-smoke faults-smoke serve-smoke chaos-smoke count-smoke ladder-smoke bench-parallel
+# metrics snapshot must self-validate, the parallel-engine
+# no-regression gate (work stealing, warm sessions, portfolio), and the
+# serving benchmark's correctness gates.
+check: build test fuzz-smoke certify-smoke metrics-smoke faults-smoke serve-smoke chaos-smoke count-smoke ladder-smoke perf-smoke bench-parallel
 
 # Differential fuzzing subset for CI (< 10 s): 200 random cases, fixed
 # seed, fails with a shrunk reproducer on any backend disagreement.
@@ -70,7 +71,7 @@ chaos-smoke:
 	dune exec bin/fannet_cli.exe -- serve --chaos-test
 
 # Model-counting smoke (~15 s): exact counts against brute-force
-# enumeration, fannet-count-cert/1 certificates re-checked by the
+# enumeration, fannet-count-cert/2 certificates re-checked by the
 # independent validator, jobs=1 vs jobs=4 byte-identity (certificate
 # included), the (ε, δ) envelope over 20 seeds, daemon cold-vs-cached
 # byte-identity for a certified count, and checkpoint
@@ -97,6 +98,14 @@ count-smoke:
 # assertion.
 ladder-smoke:
 	dune exec bench/main.exe -- --ladder --smoke
+
+# Serving-benchmark smoke (~1 min): both serving workloads of the repo
+# benchmark, 3 s each, untraced. Fails on a non-zero exit: a cache hit
+# whose bytes differ from the first answer's, a certified reply that
+# fails check_certified, or served + rejected + failed != submitted.
+perf-smoke:
+	sh perfbench/run.sh --workload serve-hot --seed 1 --seconds 3 --trace 0
+	sh perfbench/run.sh --workload serve-cold --seed 1 --seconds 3 --trace 0
 
 # Full evaluation suite (E1-E17 + Bechamel timings); takes minutes.
 bench:

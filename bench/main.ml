@@ -2024,7 +2024,7 @@ let bench_serve ?(smoke = false) ~out () =
           | Ok (SP.Answer { answer; _ }) when SP.answer_decided answer ->
               Atomic.incr decided;
               if k = 0 && j = 1 then
-                ref_bytes := Util.Json.to_string (SP.answer_json answer)
+                ref_bytes := SP.answer_bytes answer
           | Ok (SP.Answer _ | SP.Overloaded _ | SP.Server_error _) -> ()
           | Ok _ | Error _ -> Atomic.incr untyped
         done
@@ -2042,7 +2042,7 @@ let bench_serve ?(smoke = false) ~out () =
          with_conn d (fun c ->
              match Serve.Client.query c ~digest ~retries:8 (query_for 0 1) with
              | Ok (SP.Answer { answer; _ }) when SP.answer_decided answer ->
-                 ref_bytes := Util.Json.to_string (SP.answer_json answer)
+                 ref_bytes := SP.answer_bytes answer
              | Ok _ -> failwith "E23: post-soak reference certify did not decide"
              | Error e -> failwith ("E23: post-soak reference certify: " ^ e)));
       if Atomic.get untyped > 0 then
@@ -2083,7 +2083,7 @@ let bench_serve ?(smoke = false) ~out () =
     if not cached then failwith "E23: journaled answer missed the recovered cache";
     if
       reference_bytes <> ""
-      && reference_bytes <> Util.Json.to_string (SP.answer_json hit_answer)
+      && reference_bytes <> SP.answer_bytes hit_answer
     then failwith "E23: recovered answer not bit-identical to its pre-crash bytes";
     let fresh =
       SP.Certify
@@ -2177,7 +2177,7 @@ let bench_serve ?(smoke = false) ~out () =
     let _, _, cold_answer = timed_query c ~digest cert_q in
     let _, cached_hit, hit_answer = timed_query c ~digest cert_q in
     if not cached_hit then failwith "E20: certify repeat missed the cache";
-    let bytes a = Util.Json.to_string (SP.answer_json a) in
+    let bytes = SP.answer_bytes in
     let identical = bytes cold_answer = bytes hit_answer in
     (match hit_answer with
     | SP.Certified { verdict; cert } -> (

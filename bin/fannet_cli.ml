@@ -14,7 +14,7 @@
    fannet certify      -- certified robustness verdicts with DRUP proofs
    fannet count        -- quantitative robustness: exact/approx model counting
    fannet profile      -- instrumented run: metrics table + span tree
-   fannet serve        -- fannetd: the verification daemon (fannet-wire/1)
+   fannet serve        -- fannetd: the verification daemon (fannet-wire/2)
    fannet query        -- one-shot client for a running fannetd
 
    Most analysis commands also take --metrics FILE to dump the
@@ -986,8 +986,8 @@ let serve_self_test () =
   expect "second identical query must be a cache hit" cached2;
   expect "cache hit must be bit-identical to the cold answer"
     (String.equal
-       (Util.Json.to_string (Serve.Protocol.answer_json a1))
-       (Util.Json.to_string (Serve.Protocol.answer_json a2)));
+       (Serve.Protocol.answer_bytes a1)
+       (Serve.Protocol.answer_bytes a2));
   let direct = Fannet.Backend.exists_flip Fannet.Backend.Bnb qnet spec ~input ~label in
   expect "daemon verdict must equal the direct library call"
     (match a1 with
@@ -1142,7 +1142,7 @@ let serve_chaos_test () =
         match Serve.Client.query ~retries:4 c ~digest q with
         | Ok (Serve.Protocol.Answer { answer; _ })
           when Serve.Protocol.answer_decided answer ->
-            let bytes = Util.Json.to_string (Serve.Protocol.answer_json answer) in
+            let bytes = Serve.Protocol.answer_bytes answer in
             Mutex.lock lock;
             recorded := (q, bytes, answer) :: !recorded;
             Mutex.unlock lock
@@ -1195,7 +1195,7 @@ let serve_chaos_test () =
        match answer with
        | Serve.Protocol.Certified _ ->
            recorded :=
-             (q, Util.Json.to_string (Serve.Protocol.answer_json answer), answer)
+             (q, Serve.Protocol.answer_bytes answer, answer)
              :: !recorded
        | _ -> fail "post-chaos certify decided without a certificate")
    | Ok _ -> fail "post-chaos certify did not decide"
@@ -1218,7 +1218,7 @@ let serve_chaos_test () =
           expect "recovered answer is a cache hit" cached;
           expect "recovered answer byte-identical to its pre-crash bytes"
             (String.equal bytes
-               (Util.Json.to_string (Serve.Protocol.answer_json answer)));
+               (Serve.Protocol.answer_bytes answer));
           (match answer with
           | Serve.Protocol.Certified { verdict; cert } -> (
               let input, label, spec =
@@ -1279,9 +1279,11 @@ let serve_cmd =
   in
   let store_arg =
     let doc =
-      "Persistent verdict journal (fannet-store/1) at $(docv): decided \
+      "Persistent verdict journal (fannet-store/2) at $(docv): decided \
        answers are written through and recovered — bit-identical, \
-       certificates re-validated — when the daemon restarts."
+       certificates re-validated — when the daemon restarts. A journal \
+       that cannot be opened (for example a fannet-store/1 file) is \
+       reported on stderr and the daemon serves from memory only."
     in
     Arg.(value & opt (some string) None & info [ "store" ] ~docv:"FILE" ~doc)
   in
@@ -1334,7 +1336,7 @@ let serve_cmd =
     end
   in
   let doc =
-    "Run $(b,fannetd), the verification daemon: fannet-wire/1 over a Unix or \
+    "Run $(b,fannetd), the verification daemon: fannet-wire/2 over a Unix or \
      TCP socket, an LRU verdict cache (optionally journaled to disk with \
      $(b,--store)), warm per-worker solver sessions (optionally in supervised \
      worker processes with $(b,--procs)), typed overload rejections and an \
@@ -1641,8 +1643,8 @@ let count_self_test () =
   expect "second daemon count is a cache hit" cached2;
   expect "cached count byte-identical to cold (certificate included)"
     (String.equal
-       (Util.Json.to_string (Serve.Protocol.answer_json cold))
-       (Util.Json.to_string (Serve.Protocol.answer_json hit)));
+       (Serve.Protocol.answer_bytes cold)
+       (Serve.Protocol.answer_bytes hit));
   (match cold with
   | Serve.Protocol.Counted (Ok { flips; count_cert = Some cert; _ }) ->
       expect "daemon count = local count"
@@ -1728,7 +1730,7 @@ let count_cmd =
   in
   let certify_arg =
     let doc =
-      "Attach a $(b,fannet-count-cert/1) certificate to the exact count and \
+      "Attach a $(b,fannet-count-cert/2) certificate to the exact count and \
        re-check it with the independent validator before reporting."
     in
     Arg.(value & flag & info [ "certify" ] ~doc)
@@ -1805,7 +1807,7 @@ let count_cmd =
           (match
              Fannet.Robustness.check_certificate p.qnet spec ~input ~label cert
            with
-          | Ok () -> Printf.printf "certificate checked (fannet-count-cert/1)\n"
+          | Ok () -> Printf.printf "certificate checked (fannet-count-cert/2)\n"
           | Error e ->
               Printf.eprintf "certificate INVALID: %s\n%!" e;
               exit 2);
@@ -1829,7 +1831,7 @@ let count_cmd =
   let doc =
     "Quantitative robustness: count the noise vectors that flip one input's \
      classification — exactly (cube-decomposition #SAT, optionally with a \
-     $(b,fannet-count-cert/1) certificate checked by the independent \
+     $(b,fannet-count-cert/2) certificate checked by the independent \
      validator) or (ε, δ)-approximately (XOR hashing). The flip count over \
      the noise-space cardinality is the misclassification probability under \
      uniform noise."

@@ -58,3 +58,45 @@ val to_dimacs : t -> string
 (** The certified formula in DIMACS CNF: the bit-blasted clauses plus one
     unit clause per assumption, so the formula standalone-encodes
     [cnf ∧ assumptions] for external tools. *)
+
+(** {1 Wire form}
+
+    One canonical JSON form, shared by the serving protocol and the
+    count certificates:
+
+    {v
+    {"kind":"model"|"refutation","n_vars":N,
+     "cnf":CLAUSES,"assumptions":LITS,"model":BITS | "proof":STEPS}
+    v}
+
+    - [CLAUSES] is DIMACS without the header: every clause's literals,
+      then [0]; e.g. ["1 -2 0 3 0"] ([""] for no clauses, ["0"] for one
+      empty clause);
+    - [LITS] is the assumption literals, no terminator;
+    - [STEPS] is DRUP: each lemma as a clause, each deletion as [d]
+      followed by the clause;
+    - [BITS] has one ['0']/['1'] per model entry.
+
+    Tokens are separated by single spaces and there are no newlines, so
+    the JSON strings need no escapes. The decoder accepts only the
+    spelling the encoder writes (no leading zeros, no ["-0"], no double
+    spaces, no extra or reordered fields), so [to_json (of_json j) = j]
+    for every [j] it accepts. A literal [0] inside a clause cannot be
+    written - the solver never produces one, and {!check} rejects such
+    certificates anyway. *)
+
+type codec_error =
+  | Bad_token of { field : string; offset : int; token : string }
+      (** not a canonical integer, or a [0] among the assumptions *)
+  | Missing_zero of { field : string }
+      (** the text ends inside a clause *)
+  | Stray_delete of { field : string; offset : int }
+      (** [d] outside [proof], or not at the start of a proof step *)
+  | Bad_shape of string  (** missing field, wrong JSON type, unknown kind *)
+
+val codec_error_to_string : codec_error -> string
+
+val to_json : t -> Util.Json.t
+
+val of_json : Util.Json.t -> (t, codec_error) result
+(** Total: every malformed input is an [Error], never an exception. *)

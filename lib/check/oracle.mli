@@ -29,7 +29,7 @@
     - {b counting agreement}: the exact counter
       ({!Fannet.Robustness.probability}) reproduces the brute-force flip
       count, is zero exactly when the enumerator proves the range robust,
-      carries a [fannet-count-cert/1] certificate that passes the
+      carries a [fannet-count-cert/2] certificate that passes the
       independent checker, answers byte-identically (certificate
       included) at [jobs] 1 and 4, and the tight-ε approximate counter
       short-circuits to the same exact count — sampled by the driver

@@ -4,7 +4,7 @@
     Where {!Tolerance} answers the paper's qualitative P2 ("does any
     noise vector flip the prediction?"), this module answers the
     quantitative refinement: {e how many} noise vectors flip it, as an
-    exact count (certified on request, [fannet-count-cert/1]) or an
+    exact count (certified on request, [fannet-count-cert/2]) or an
     (ε, δ) approximation — the flip count divided by the noise-space
     cardinality is the misclassification probability under uniform
     noise. *)

@@ -16,7 +16,7 @@ type t = {
   entries : entry list;
 }
 
-let version = "fannet-count-cert/1"
+let version = "fannet-count-cert/2"
 
 let var_triples vars =
   Array.map (fun (v : T.var) -> (v.T.name, v.T.lo, v.T.hi)) vars
@@ -54,66 +54,12 @@ let int_list_json l = J.List (List.map (fun n -> J.Int n) l)
 
 let int_list j = List.map as_int (as_list j)
 
-(* Cert.Verdict codec — same shape as the wire protocol's, duplicated
-   here because lib/count sits below lib/serve in the dependency order
-   and the certificate must be self-contained. *)
-let verdict_json (c : Cert.Verdict.t) =
-  let clauses cnf = J.List (List.map int_list_json cnf) in
-  match c with
-  | Cert.Verdict.Model { n_vars; cnf; assumptions; model } ->
-      J.Obj
-        [
-          ("kind", J.String "model");
-          ("n_vars", J.Int n_vars);
-          ("cnf", clauses cnf);
-          ("assumptions", int_list_json assumptions);
-          ( "model",
-            J.List
-              (Array.to_list
-                 (Array.map (fun b -> J.Int (if b then 1 else 0)) model)) );
-        ]
-  | Cert.Verdict.Refutation { n_vars; cnf; assumptions; proof } ->
-      let step_json (s : Cert.Rup.step) =
-        match s with
-        | Cert.Rup.Learn c -> J.List [ J.String "l"; int_list_json c ]
-        | Cert.Rup.Delete c -> J.List [ J.String "d"; int_list_json c ]
-      in
-      J.Obj
-        [
-          ("kind", J.String "refutation");
-          ("n_vars", J.Int n_vars);
-          ("cnf", clauses cnf);
-          ("assumptions", int_list_json assumptions);
-          ("proof", J.List (List.map step_json proof));
-        ]
+let verdict_json = Cert.Verdict.to_json
 
-let verdict_of_json j : Cert.Verdict.t =
-  let n_vars = as_int (field "n_vars" j) in
-  let cnf = List.map int_list (as_list (field "cnf" j)) in
-  let assumptions = int_list (field "assumptions" j) in
-  match as_string (field "kind" j) with
-  | "model" ->
-      let model =
-        Array.of_list
-          (List.map
-             (fun v ->
-               match as_int v with
-               | 0 -> false
-               | 1 -> true
-               | n -> bad "model bit %d" n)
-             (as_list (field "model" j)))
-      in
-      Cert.Verdict.Model { n_vars; cnf; assumptions; model }
-  | "refutation" ->
-      let step s : Cert.Rup.step =
-        match as_list s with
-        | [ J.String "l"; c ] -> Cert.Rup.Learn (int_list c)
-        | [ J.String "d"; c ] -> Cert.Rup.Delete (int_list c)
-        | _ -> bad "malformed proof step"
-      in
-      Cert.Verdict.Refutation
-        { n_vars; cnf; assumptions; proof = List.map step (as_list (field "proof" j)) }
-  | s -> bad "unknown verdict kind %S" s
+let verdict_of_json j =
+  match Cert.Verdict.of_json j with
+  | Ok c -> c
+  | Error e -> bad "%s" (Cert.Verdict.codec_error_to_string e)
 
 let ranges_json rs =
   J.List

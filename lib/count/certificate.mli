@@ -1,4 +1,4 @@
-(** [fannet-count-cert/1] — checkable exact-count certificates.
+(** [fannet-count-cert/2] — checkable exact-count certificates.
 
     An exact count is certified by a partition of the constrained
     counting space into decided cubes, each carrying evidence of its
@@ -40,7 +40,8 @@ type t = {
 }
 
 val version : string
-(** ["fannet-count-cert/1"]. *)
+(** ["fannet-count-cert/2"]: version 2 writes every embedded
+    {!Cert.Verdict.t} in its compact text form ({!Cert.Verdict.to_json}). *)
 
 val make :
   space:Space.t -> count:Util.Bigcount.t -> entries:entry list -> t

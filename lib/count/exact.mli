@@ -15,7 +15,7 @@
 
     With [~certify:true] every decided cube is re-derived on a fresh
     proof-traced session and the result carries a
-    {!Certificate.t} ([fannet-count-cert/1]) that {!Certificate.check}
+    {!Certificate.t} ([fannet-count-cert/2]) that {!Certificate.check}
     re-validates independently. Certificate bytes are deterministic: the
     per-cube sessions depend only on (formula, cube), never on worker
     scheduling, so jobs=1 and jobs=N produce identical certificates.
@@ -61,7 +61,7 @@ val count :
   result
 (** Count the assignments of [project] satisfying the formula.
 
-    [certify] (default false) attaches a [fannet-count-cert/1]
+    [certify] (default false) attaches a [fannet-count-cert/2]
     certificate; [enum_limit] (default 64) is the largest cube counted
     by enumeration instead of bisection; [jobs] (default 1) counts
     disjoint subtrees on a {!Util.Parallel} pool; [checkpoint] persists

@@ -213,7 +213,8 @@ let sorted_metrics () =
       Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let float_or_null f = if Float.is_nan f then Util.Json.Null else Util.Json.Float f
+(* Unset (NaN) and overflowed (infinite) values have no JSON spelling. *)
+let float_or_null f = if Float.is_finite f then Util.Json.Float f else Util.Json.Null
 
 let snapshot () =
   let metrics = sorted_metrics () in
@@ -249,7 +250,7 @@ let snapshot () =
                         ("overflow", Util.Json.Int v.overflow);
                         ("nan", Util.Json.Int v.nan_count);
                         ("count", Util.Json.Int v.count);
-                        ("sum", Util.Json.Float v.sum);
+                        ("sum", float_or_null v.sum);
                         ("min", float_or_null v.vmin);
                         ("max", float_or_null v.vmax);
                       ] )

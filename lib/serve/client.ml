@@ -22,7 +22,10 @@ let connect (addr : Daemon.addr) =
             with _ -> Unix.inet_addr_loopback)
         in
         let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-        (try Unix.connect fd (ADDR_INET (inet, port))
+        (try
+           Unix.connect fd (ADDR_INET (inet, port));
+           (* frames are two writes; see Daemon.handle_conn *)
+           Unix.setsockopt fd TCP_NODELAY true
          with e ->
            (try Unix.close fd with _ -> ());
            raise e);

@@ -42,6 +42,7 @@ let m_cache_hits = Obs.Metrics.counter "serve.cache.hits"
 let m_cache_misses = Obs.Metrics.counter "serve.cache.misses"
 let m_store_recovered = Obs.Metrics.counter "serve.store.recovered"
 let m_store_dropped = Obs.Metrics.counter "serve.store.dropped"
+let m_store_open_failed = Obs.Metrics.counter "serve.store.open_failed"
 let m_worker_deaths = Obs.Metrics.counter "serve.worker.deaths"
 let m_worker_restarts = Obs.Metrics.counter "serve.worker.restarts"
 let h_query = Obs.Metrics.histogram "serve.query_s"
@@ -57,7 +58,7 @@ type t = {
   unlink_path : string option;
   compute : compute;
   store : Store.t option;
-  cache : Protocol.answer Lru.t;
+  cache : string Lru.t;  (* key -> Protocol.answer_bytes *)
   nets : (string, Nn.Qnet.t) Hashtbl.t;
   nets_lock : Mutex.t;
   stop_token : Resil.Budget.token;
@@ -155,32 +156,30 @@ let find_net t digest =
   Mutex.unlock t.nets_lock;
   r
 
-(* Weigh cache entries by the bytes of the encoded answer sub-document —
-   the thing a cache hit actually holds on to (certificates dominate). *)
-let answer_weight answer =
-  String.length (Util.Json.to_string (Protocol.answer_json answer))
+(* The cache holds encoded answer sub-documents, weighed by their bytes
+   (certificates dominate). *)
+let cache_bytes cache key bytes = Lru.add ~weight:(String.length bytes) cache key bytes
 
-(* A decided answer enters the LRU and, write-through, the journal. *)
-let cache_answer t key answer =
+(* A fresh answer is encoded once: the same bytes enter the LRU, the
+   journal (write-through, decided answers only) and the reply. *)
+let served_answer t ~rid key answer =
+  let bytes = Protocol.answer_bytes answer in
   if Protocol.answer_decided answer then begin
-    Lru.add ~weight:(answer_weight answer) t.cache key answer;
-    match t.store with Some s -> Store.append s ~key answer | None -> ()
-  end
-
-let served_answer t key answer =
-  cache_answer t key answer;
+    cache_bytes t.cache key bytes;
+    match t.store with Some s -> Store.append_bytes s ~key bytes | None -> ()
+  end;
   Atomic.incr t.served;
   Obs.Metrics.incr m_served;
-  Protocol.Answer { cached = false; answer }
+  Protocol.encode_answer_reply ~rid ~cached:false bytes
 
-let failed_reply t reply =
+let failed_reply t ~rid reply =
   Atomic.incr t.failed;
   Obs.Metrics.incr m_failed;
-  reply
+  Protocol.encode_reply { rid; reply }
 
 (* Run one admitted query on the compute backend and account for the
-   outcome. *)
-let compute_query t ~key ~digest ~query ~budget net : Protocol.reply =
+   outcome; returns the encoded reply. *)
+let compute_query t ~rid ~key ~digest ~query ~budget net =
   let since = Obs.Clock.now_ns () in
   match t.compute with
   | In_process pool -> (
@@ -188,15 +187,15 @@ let compute_query t ~key ~digest ~query ~budget net : Protocol.reply =
       match Pool.run pool (fun () -> execute net ~budget query) with
       | answer ->
           Obs.Metrics.observe h_query (Obs.Clock.elapsed_s ~since);
-          served_answer t key answer
+          served_answer t ~rid key answer
       | exception Invalid_argument msg ->
           (* The engines reject unsupported shapes (single-output
              networks, non-identity output layers, ...) with
              Invalid_argument: that is the client's query, not a
              daemon fault, and must come back as a typed
              protocol error — never escape a worker domain raw. *)
-          failed_reply t (Protocol.Protocol_error ("unsupported query: " ^ msg))
-      | exception e -> failed_reply t (Protocol.Server_error (Printexc.to_string e)))
+          failed_reply t ~rid (Protocol.Protocol_error ("unsupported query: " ^ msg))
+      | exception e -> failed_reply t ~rid (Protocol.Server_error (Printexc.to_string e)))
   | Supervised sup -> (
       (* clamp here — the worker process builds its budget from the spec
          verbatim, and cannot share the parent's cancellation token *)
@@ -206,28 +205,30 @@ let compute_query t ~key ~digest ~query ~budget net : Protocol.reply =
       match Supervisor.query sup ~digest ~query ~budget with
       | Ok (Protocol.Answer { answer; _ }) ->
           Obs.Metrics.observe h_query (Obs.Clock.elapsed_s ~since);
-          served_answer t key answer
+          served_answer t ~rid key answer
       | Ok ((Protocol.Protocol_error _ | Protocol.Server_error _) as reply) ->
-          failed_reply t reply
-      | Ok _ -> failed_reply t (Protocol.Server_error "unexpected worker reply")
+          failed_reply t ~rid reply
+      | Ok _ -> failed_reply t ~rid (Protocol.Server_error "unexpected worker reply")
       | Error msg ->
           (* worker died mid-query / restarting / circuit open: a typed
              server error the client may retry — never a dead daemon *)
-          failed_reply t (Protocol.Server_error msg))
+          failed_reply t ~rid (Protocol.Server_error msg))
 
-let handle_query t ~digest ~query ~budget : Protocol.reply =
+(* The encoded reply to one query. A cache hit splices the cached bytes
+   into the envelope: no JSON is built or parsed. *)
+let handle_query t ~rid ~digest ~query ~budget =
   Atomic.incr t.submitted;
   Obs.Metrics.incr m_submitted;
   match find_net t digest with
-  | None -> failed_reply t (Protocol.Server_error ("unknown network digest " ^ digest))
+  | None -> failed_reply t ~rid (Protocol.Server_error ("unknown network digest " ^ digest))
   | Some net -> (
       let key = Protocol.query_key ~digest query in
       match Lru.find t.cache key with
-      | Some answer ->
+      | Some bytes ->
           Obs.Metrics.incr m_cache_hits;
           Atomic.incr t.served;
           Obs.Metrics.incr m_served;
-          Protocol.Answer { cached = true; answer }
+          Protocol.encode_answer_reply ~rid ~cached:true bytes
       | None ->
           Obs.Metrics.incr m_cache_misses;
           (* Admission: claim a slot before touching the compute backend
@@ -238,12 +239,13 @@ let handle_query t ~digest ~query ~budget : Protocol.reply =
             Atomic.decr t.in_flight;
             Atomic.incr t.rejected;
             Obs.Metrics.incr m_rejected;
-            Protocol.Overloaded { in_flight = n; cap = t.cfg.cap }
+            Protocol.encode_reply
+              { rid; reply = Protocol.Overloaded { in_flight = n; cap = t.cfg.cap } }
           end
           else
             Fun.protect
               ~finally:(fun () -> Atomic.decr t.in_flight)
-              (fun () -> compute_query t ~key ~digest ~query ~budget net))
+              (fun () -> compute_query t ~rid ~key ~digest ~query ~budget net))
 
 let handle_load t ~network : Protocol.reply =
   match Nn.Qnet.of_string network with
@@ -263,7 +265,7 @@ let handle_load t ~network : Protocol.reply =
 
 (* ---------- connection handling ---------- *)
 
-let send fd (env : Protocol.reply_envelope) =
+let send_payload fd payload =
   if Resil.Faultpoint.hit "serve.conn.reset" then begin
     (* chaos: the client connection drops just before the reply goes
        out — the daemon-side accounting already happened, the client
@@ -271,7 +273,9 @@ let send fd (env : Protocol.reply_envelope) =
     (try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ());
     raise (Unix.Unix_error (Unix.ECONNRESET, "send", "injected serve.conn.reset"))
   end;
-  Wire.write_frame fd (Protocol.encode_reply env)
+  Wire.write_frame fd payload
+
+let send fd (env : Protocol.reply_envelope) = send_payload fd (Protocol.encode_reply env)
 
 let write_all fd s =
   let b = Bytes.of_string s in
@@ -328,7 +332,7 @@ let dispatch t fd rid (request : Protocol.request) =
       send fd { rid; reply = handle_load t ~network };
       true
   | Protocol.Query { digest; query; budget } ->
-      send fd { rid; reply = handle_query t ~digest ~query ~budget };
+      send_payload fd (handle_query t ~rid ~digest ~query ~budget);
       true
   | Protocol.Metrics ->
       send fd
@@ -390,6 +394,12 @@ let sniff fd =
   go 0
 
 let handle_conn t fd =
+  (* A frame goes out as two writes (header, then payload); on TCP,
+     Nagle's algorithm would hold the second back until the peer's
+     delayed ACK of the first. *)
+  (match t.bound with
+  | Tcp _ -> Unix.setsockopt fd TCP_NODELAY true
+  | Unix_path _ -> ());
   match sniff fd with
   | Sniff_closed | Sniff_short -> ()
   | Sniff first when String.equal first "GET " -> http_scrape t fd
@@ -489,15 +499,19 @@ let run cfg =
     | None -> None
     | Some path -> (
         match Store.open_ ~path with
-        | Error _ -> None (* an unreadable journal must not block serving *)
+        | Error e ->
+            (* an unreadable or foreign journal must not block serving,
+               but it must not vanish silently either *)
+            Printf.eprintf "fannetd: journal disabled, serving from memory only: %s\n%!" e;
+            Obs.Metrics.incr m_store_open_failed;
+            None
         | Ok (s, recovered) ->
             (* warm the cache with recovered answers: every one of them
                was re-validated by Store (certificates through lib/cert),
-               and re-encodes bit-identically because the cache stores
-               the decoded value and the codec is deterministic *)
+               and re-encodes bit-identically because the codec is
+               canonical *)
             List.iter
-              (fun (key, answer) ->
-                Lru.add ~weight:(answer_weight answer) cache key answer)
+              (fun (key, answer) -> cache_bytes cache key (Protocol.answer_bytes answer))
               recovered;
             let st = Store.stats s in
             Obs.Metrics.add m_store_recovered st.Store.recovered;

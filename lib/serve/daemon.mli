@@ -15,10 +15,12 @@
     with its cancellation token linked to the daemon's shutdown token —
     [stop] cancels stragglers cooperatively after the drain grace.
 
-    Cached answers are returned byte-identically: the cache stores the
-    decoded {!Protocol.answer} value and every reply is re-encoded by
-    the same deterministic codec, so a hit's [answer] sub-document
-    equals the cold one's bit for bit (the E20 bench asserts this for
+    Cached answers are returned byte-identically: a fresh answer is
+    encoded once ({!Protocol.answer_bytes}), those bytes go to the
+    cache, the journal and the reply, and a hit splices the cached bytes
+    into its envelope ({!Protocol.encode_answer_reply}) without building
+    or parsing any JSON — so a hit's [answer] sub-document equals the
+    cold one's bit for bit (the E20 bench asserts this for
     certificates).
 
     The same socket also answers an HTTP-style scrape: a connection
@@ -53,11 +55,15 @@ type config = {
           [server-error] reply plus a supervised restart — never a dead
           daemon *)
   store_path : string option;
-      (** persistent verdict journal ([fannet-store/1], see {!Store});
+      (** persistent verdict journal ([fannet-store/2], see {!Store});
           decided answers are written through, and on start the journal
           is recovered into the cache — bit-identical bytes, certificates
           re-validated by [lib/cert] — so a restart costs warm sessions
-          but not certified verdicts. [None] = memory only *)
+          but not certified verdicts. A journal that cannot be opened
+          (I/O error, or a foreign header such as [fannet-store/1]) does
+          not stop the daemon: it serves from memory only, prints the
+          path and reason on stderr and counts
+          [serve.store.open_failed]. [None] = memory only *)
 }
 
 val default_config : config

@@ -1,11 +1,11 @@
-(* fannet-wire/1 messages and their JSON codec. Encoding is
+(* fannet-wire/2 messages and their JSON codec. Encoding is
    deterministic (fixed field order); decoding is total — internal
    [Bad]-exception plumbing is caught at the two public entry points and
    surfaced as [Error]. *)
 
 module J = Util.Json
 
-let version = "fannet-wire/1"
+let version = "fannet-wire/2"
 
 type query =
   | Exists_flip of {
@@ -120,8 +120,12 @@ let as_string = function
   | J.String s -> s
   | _ -> bad "expected a string"
 
+(* The parser reads an overflowing literal such as [1e999] as an
+   infinity; refuse it here, where outside input enters, since
+   [Util.Json] cannot emit it again (the cache key would not render). *)
 let as_float = function
-  | J.Float f -> f
+  | J.Float f when Float.is_finite f -> f
+  | J.Float _ -> bad "non-finite number"
   | J.Int n -> float_of_int n
   | _ -> bad "expected a number"
 
@@ -132,10 +136,6 @@ let as_list = function
 let int_array j = Array.of_list (List.map as_int (as_list j))
 
 let int_array_json a = J.List (Array.to_list (Array.map (fun n -> J.Int n) a))
-
-let int_list_json l = J.List (List.map (fun n -> J.Int n) l)
-
-let int_list j = List.map as_int (as_list j)
 
 (* ------------------------------------------------------------------ *)
 (* Leaf codecs: backend, spec, vector, reason, verdict, certificate    *)
@@ -225,66 +225,10 @@ let verdict_of_json j : Fannet.Backend.verdict =
   | "unknown" -> Fannet.Backend.Unknown (reason_of_json (field "reason" j))
   | s -> bad "unknown verdict %S" s
 
-let clauses_json cnf = J.List (List.map int_list_json cnf)
-
-let clauses_of_json j = List.map int_list (as_list j)
-
-let cert_json (c : Cert.Verdict.t) =
-  match c with
-  | Cert.Verdict.Model { n_vars; cnf; assumptions; model } ->
-      J.Obj
-        [
-          ("kind", J.String "model");
-          ("n_vars", J.Int n_vars);
-          ("cnf", clauses_json cnf);
-          ("assumptions", int_list_json assumptions);
-          ( "model",
-            J.List
-              (Array.to_list
-                 (Array.map (fun b -> J.Int (if b then 1 else 0)) model)) );
-        ]
-  | Cert.Verdict.Refutation { n_vars; cnf; assumptions; proof } ->
-      let step_json (s : Cert.Rup.step) =
-        match s with
-        | Cert.Rup.Learn c -> J.List [ J.String "l"; int_list_json c ]
-        | Cert.Rup.Delete c -> J.List [ J.String "d"; int_list_json c ]
-      in
-      J.Obj
-        [
-          ("kind", J.String "refutation");
-          ("n_vars", J.Int n_vars);
-          ("cnf", clauses_json cnf);
-          ("assumptions", int_list_json assumptions);
-          ("proof", J.List (List.map step_json proof));
-        ]
-
-let cert_of_json j : Cert.Verdict.t =
-  let n_vars = as_int (field "n_vars" j) in
-  let cnf = clauses_of_json (field "cnf" j) in
-  let assumptions = int_list (field "assumptions" j) in
-  match as_string (field "kind" j) with
-  | "model" ->
-      let model =
-        Array.of_list
-          (List.map
-             (fun v ->
-               match as_int v with
-               | 0 -> false
-               | 1 -> true
-               | n -> bad "model bit %d" n)
-             (as_list (field "model" j)))
-      in
-      Cert.Verdict.Model { n_vars; cnf; assumptions; model }
-  | "refutation" ->
-      let step_of_json s : Cert.Rup.step =
-        match as_list s with
-        | [ J.String "l"; c ] -> Cert.Rup.Learn (int_list c)
-        | [ J.String "d"; c ] -> Cert.Rup.Delete (int_list c)
-        | _ -> bad "malformed proof step"
-      in
-      let proof = List.map step_of_json (as_list (field "proof" j)) in
-      Cert.Verdict.Refutation { n_vars; cnf; assumptions; proof }
-  | s -> bad "unknown certificate kind %S" s
+let cert_of_json j =
+  match Cert.Verdict.of_json j with
+  | Ok c -> c
+  | Error e -> bad "certificate: %s" (Cert.Verdict.codec_error_to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Query codec                                                         *)
@@ -460,8 +404,12 @@ let request_of_json j =
   | "set-faults" -> Set_faults { spec = as_string (field "spec" j) }
   | s -> bad "unknown request op %S" s
 
-let envelope_json ~tag ~rid body =
-  J.Obj [ ("v", J.String version); ("id", J.Int rid); (tag, body) ]
+(* Every envelope is spliced from bytes:
+   {"v":VERSION,"id":RID,TAG:BODY} - byte for byte what [J.to_string]
+   writes for that object, without building it. *)
+let envelope ~tag ~rid body =
+  String.concat ""
+    [ {|{"v":"|}; version; {|","id":|}; string_of_int rid; {|,"|}; tag; {|":|}; body; "}" ]
 
 let check_envelope ~tag j =
   (match as_string (field "v" j) with
@@ -470,7 +418,7 @@ let check_envelope ~tag j =
   (as_int (field "id" j), field tag j)
 
 let encode_request { rid; request } =
-  J.to_string (envelope_json ~tag:"req" ~rid (request_json request))
+  envelope ~tag:"req" ~rid (J.to_string (request_json request))
 
 let total name f s =
   match J.of_string s with
@@ -518,7 +466,7 @@ let answer_json = function
         [
           ("a", J.String "certified");
           ("verdict", verdict_json verdict);
-          ("cert", match cert with None -> J.Null | Some c -> cert_json c);
+          ("cert", match cert with None -> J.Null | Some c -> Cert.Verdict.to_json c);
         ]
   | Counted (Ok { flips; total; count_cert }) ->
       J.Obj
@@ -619,31 +567,26 @@ let stats_of_json j =
     networks = as_int (field "networks" j);
   }
 
-let reply_json = function
-  | Loaded { digest } ->
-      J.Obj [ ("op", J.String "loaded"); ("digest", J.String digest) ]
-  | Answer { cached; answer } ->
-      J.Obj
-        [
-          ("op", J.String "answer");
-          ("cached", J.Bool cached);
-          ("answer", answer_json answer);
-        ]
+let answer_bytes a = J.to_string (answer_json a)
+
+(* The one encoder of an [answer] reply body, used for fresh answers and
+   for cached bytes alike. *)
+let answer_body ~cached bytes =
+  String.concat ""
+    [ {|{"op":"answer","cached":|}; string_of_bool cached; {|,"answer":|}; bytes; "}" ]
+
+let reply_body reply =
+  let obj op kvs = J.to_string (J.Obj (("op", J.String op) :: kvs)) in
+  match reply with
+  | Answer { cached; answer } -> answer_body ~cached (answer_bytes answer)
+  | Loaded { digest } -> obj "loaded" [ ("digest", J.String digest) ]
   | Overloaded { in_flight; cap } ->
-      J.Obj
-        [
-          ("op", J.String "overloaded");
-          ("in_flight", J.Int in_flight);
-          ("cap", J.Int cap);
-        ]
-  | Metrics_reply { stats; obs } ->
-      J.Obj [ ("op", J.String "metrics"); ("stats", stats_json stats); ("obs", obs) ]
-  | Pong -> J.Obj [ ("op", J.String "pong") ]
-  | Bye -> J.Obj [ ("op", J.String "bye") ]
-  | Protocol_error e ->
-      J.Obj [ ("op", J.String "protocol-error"); ("error", J.String e) ]
-  | Server_error e ->
-      J.Obj [ ("op", J.String "server-error"); ("error", J.String e) ]
+      obj "overloaded" [ ("in_flight", J.Int in_flight); ("cap", J.Int cap) ]
+  | Metrics_reply { stats; obs } -> obj "metrics" [ ("stats", stats_json stats); ("obs", obs) ]
+  | Pong -> obj "pong" []
+  | Bye -> obj "bye" []
+  | Protocol_error e -> obj "protocol-error" [ ("error", J.String e) ]
+  | Server_error e -> obj "server-error" [ ("error", J.String e) ]
 
 let reply_of_json j =
   match as_string (field "op" j) with
@@ -669,8 +612,10 @@ let reply_of_json j =
   | "server-error" -> Server_error (as_string (field "error" j))
   | s -> bad "unknown reply op %S" s
 
-let encode_reply { rid; reply } =
-  J.to_string (envelope_json ~tag:"rep" ~rid (reply_json reply))
+let encode_answer_reply ~rid ~cached bytes =
+  envelope ~tag:"rep" ~rid (answer_body ~cached bytes)
+
+let encode_reply { rid; reply } = envelope ~tag:"rep" ~rid (reply_body reply)
 
 let decode_reply s =
   total "reply" (fun j ->
@@ -709,6 +654,6 @@ let query_equal a b = J.to_string (query_json a) = J.to_string (query_json b)
 
 let request_equal a b = encode_request a = encode_request b
 
-let answer_equal a b = J.to_string (answer_json a) = J.to_string (answer_json b)
+let answer_equal a b = answer_bytes a = answer_bytes b
 
 let reply_equal a b = encode_reply a = encode_reply b

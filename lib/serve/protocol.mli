@@ -1,4 +1,4 @@
-(** [fannet-wire/1] message vocabulary and JSON codec.
+(** [fannet-wire/2] message vocabulary and JSON codec.
 
     Every frame payload (see {!Wire}) is one JSON document: a request
     envelope client→server, a reply envelope server→client. The codec is
@@ -8,12 +8,12 @@
     which is what makes {!query_key} a canonical cache key and lets the
     bench assert bit-identical cached certificates.
 
-    The full field-level format is specified in DESIGN.md §fannet-wire/1;
+    The full field-level format is specified in DESIGN.md §fannet-wire/2;
     the QCheck battery in [test/test_serve.ml] pins down
     [decode ∘ encode = id] over randomly generated messages. *)
 
 val version : string
-(** ["fannet-wire/1"] — the [v] field of every envelope; a decoder
+(** ["fannet-wire/2"] — the [v] field of every envelope; a decoder
     rejects other values so incompatible peers fail typed, not
     mysteriously. *)
 
@@ -50,7 +50,7 @@ type query =
       mode : count_mode;
     }
       (** quantitative robustness: how many vectors in the range flip the
-          input (exact #SAT, optionally [fannet-count-cert/1]-certified,
+          input (exact #SAT, optionally [fannet-count-cert/2]-certified,
           or (ε, δ)-approximate) *)
 
 and count_mode =
@@ -138,9 +138,21 @@ val decode_request : string -> (req_envelope, string) result
 val encode_reply : reply_envelope -> string
 val decode_reply : string -> (reply_envelope, string) result
 
+val answer_bytes : answer -> string
+(** The compact [answer] sub-document exactly as [encode_reply] embeds
+    it — what the daemon caches and journals, and the bytes the bench
+    compares for cache-hit bit-identity. *)
+
+val encode_answer_reply : rid:int -> cached:bool -> string -> string
+(** [encode_answer_reply ~rid ~cached bytes] splices already-encoded
+    answer [bytes] into an [Answer] reply envelope, without building a
+    JSON tree. [encode_reply] encodes every [Answer] through it, so
+    [encode_answer_reply ~rid ~cached (answer_bytes a)] is byte for byte
+    [encode_reply {rid; reply = Answer {cached; answer = a}}]. *)
+
 val answer_json : answer -> Util.Json.t
-(** The [answer] sub-document exactly as [encode_reply] embeds it — the
-    bytes the bench compares for cache-hit bit-identity. *)
+(** The [answer] sub-document as a tree; [answer_bytes] is its compact
+    rendering. *)
 
 val answer_of_json : Util.Json.t -> (answer, string) result
 (** Total inverse of {!answer_json}, for consumers (the verdict store)

@@ -1,10 +1,10 @@
-(* Append-only verdict journal, format fannet-store/1. See store.mli
+(* Append-only verdict journal, format fannet-store/2. See store.mli
    for the format and recovery contract. *)
 
 module J = Util.Json
 module F = Resil.Faultpoint
 
-let header = "fannet-store/1\n"
+let header = "fannet-store/2\n"
 
 type stats = {
   appends : int;
@@ -36,9 +36,9 @@ let frame payload =
   Printf.sprintf "%d %016Lx\n%s\n" (String.length payload)
     (Resil.Ckpt.fnv1a64 payload) payload
 
-let payload_of ~key answer =
-  J.to_string
-    (J.Obj [ ("key", J.String key); ("answer", Protocol.answer_json answer) ])
+(* {"key":KEY,"answer":BYTES}, spliced around the encoded answer. *)
+let payload_of ~key bytes =
+  String.concat "" [ {|{"key":|}; J.to_string (J.String key); {|,"answer":|}; bytes; "}" ]
 
 (* One semantic gate for both recovery and compaction: the payload must
    decode, the answer must be cacheable, and a certified answer must
@@ -78,7 +78,12 @@ let decode_payload payload =
 let scan contents =
   if String.length contents < String.length header
      || String.sub contents 0 (String.length header) <> header
-  then Error "missing or foreign fannet-store/1 header"
+  then
+    let first = List.hd (String.split_on_char '\n' contents) in
+    let first = if String.length first > 40 then String.sub first 0 40 ^ "..." else first in
+    Error
+      (Printf.sprintf "header %S is not %S" first
+         (String.sub header 0 (String.length header - 1)))
   else begin
     let len = String.length contents in
     let records = ref [] and dropped = ref 0 in
@@ -109,7 +114,7 @@ let scan contents =
                   then torn := true
                   else begin
                     (match decode_payload payload with
-                    | Some (key, a) -> records := (key, a, plen) :: !records
+                    | Some (key, a) -> records := (key, a, payload) :: !records
                     | None -> incr dropped);
                     pos := nl + 1 + plen + 1;
                     good := !pos
@@ -126,11 +131,11 @@ let read_file path =
 let last_wins records =
   let tbl = Hashtbl.create 64 and order = ref [] in
   List.iter
-    (fun (key, a, plen) ->
+    (fun (key, a, payload) ->
       if not (Hashtbl.mem tbl key) then order := key :: !order;
-      Hashtbl.replace tbl key (a, plen))
+      Hashtbl.replace tbl key (a, payload))
     records;
-  List.rev_map (fun key -> let a, plen = Hashtbl.find tbl key in (key, a, plen))
+  List.rev_map (fun key -> let a, payload = Hashtbl.find tbl key in (key, a, payload))
     !order
   |> List.rev
 
@@ -161,9 +166,9 @@ let open_ ~path =
         let live = Hashtbl.create 64 in
         let live_bytes = ref 0 in
         List.iter
-          (fun (key, _, plen) ->
-            Hashtbl.replace live key plen;
-            live_bytes := !live_bytes + plen)
+          (fun (key, _, payload) ->
+            Hashtbl.replace live key (String.length payload);
+            live_bytes := !live_bytes + String.length payload)
           live_records;
         let oc =
           open_out_gen [ Open_append; Open_binary ] 0o644 path
@@ -189,10 +194,10 @@ let open_ ~path =
   | Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "store %s: %s" path (Unix.error_message e))
 
-(* Caller holds the lock. Rewrites the journal to its live records
-   through a temp file + atomic rename (Ckpt discipline): a crash at
-   any point leaves either the old journal or the new one, never a
-   hybrid. *)
+(* Caller holds the lock. Rewrites the journal to its live records -
+   their payload bytes as they were, nothing re-encoded - through a temp
+   file + atomic rename (Ckpt discipline): a crash at any point leaves
+   either the old journal or the new one, never a hybrid. *)
 let compact_locked t oc =
   flush oc;
   close_out oc;
@@ -203,9 +208,7 @@ let compact_locked t oc =
   let tmp = t.path ^ ".tmp" in
   let tc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp in
   output_string tc header;
-  List.iter
-    (fun (key, a, _) -> output_string tc (frame (payload_of ~key a)))
-    live_records;
+  List.iter (fun (_, _, payload) -> output_string tc (frame payload)) live_records;
   close_out tc;
   Unix.rename tmp t.path;
   t.file_bytes <- (Unix.stat t.path).Unix.st_size;
@@ -215,13 +218,13 @@ let compact_locked t oc =
 let compaction_due t =
   t.file_bytes > max 65536 (2 * t.live_bytes)
 
-let append t ~key answer =
+let append_bytes t ~key bytes =
   Mutex.lock t.lock;
   (match t.oc with
   | None -> ()  (* closed or disabled: daemon keeps serving from memory *)
   | Some oc -> (
       try
-        let payload = payload_of ~key answer in
+        let payload = payload_of ~key bytes in
         let record = frame payload in
         if F.hit "serve.store.torn" then begin
           (* simulate a crash mid-write: half the record reaches disk,
@@ -251,6 +254,8 @@ let append t ~key answer =
         | None -> ());
         t.oc <- None));
   Mutex.unlock t.lock
+
+let append t ~key answer = append_bytes t ~key (Protocol.answer_bytes answer)
 
 let close t =
   Mutex.lock t.lock;

@@ -1,5 +1,5 @@
 (** Persistent verdict store: an append-only journal, format
-    [fannet-store/1].
+    [fannet-store/2].
 
     The daemon's answer cache (see {!Lru}) is write-through to this
     journal, so a restart recovers every decided answer — certificate
@@ -7,14 +7,17 @@
     file layout is
 
     {v
-    fannet-store/1\n
+    fannet-store/2\n
     <len> <fnv1a64-hex>\n<payload>\n      (repeated)
     v}
 
     where [payload] is the compact JSON document
-    [{"key": <cache key>, "answer": <Protocol.answer_json>}] of exactly
+    [{"key":<cache key>,"answer":<Protocol.answer_bytes>}] of exactly
     [len] bytes and the checksum covers the payload (the same FNV-1a-64
-    as {!Resil.Ckpt}). Appends are fsync-free but framed, so the only
+    as {!Resil.Ckpt}). Version 2 differs from version 1 only in the
+    certificate sub-document, which is in the compact text form of
+    {!Cert.Verdict.to_json}; a [fannet-store/1] journal fails {!open_}
+    with a foreign-header error. Appends are fsync-free but framed, so the only
     damage a crash can cause is a torn tail:
 
     - a record whose header, length or checksum does not match is
@@ -56,12 +59,16 @@ val open_ : path:string ->
     I/O failures or a foreign format header — recoverable damage never
     fails the open. *)
 
+val append_bytes : t -> key:string -> string -> unit
+(** Journal one decided answer, already encoded by
+    {!Protocol.answer_bytes}, under [key]. Re-appending a key supersedes
+    the earlier record (last-wins on recovery). Serialised internally;
+    safe from concurrent connection threads. A write failure (disk full,
+    armed fault) disables the store — the daemon keeps serving from
+    memory. *)
+
 val append : t -> key:string -> Protocol.answer -> unit
-(** Journal one decided answer under [key]. Re-appending a key
-    supersedes the earlier record (last-wins on recovery). Serialised
-    internally; safe from concurrent connection threads. A write
-    failure (disk full, armed fault) disables the store — the daemon
-    keeps serving from memory. *)
+(** [append t ~key a] is [append_bytes t ~key (Protocol.answer_bytes a)]. *)
 
 val close : t -> unit
 (** Flush and close the journal. Idempotent, and serialised against

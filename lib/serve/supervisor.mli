@@ -3,7 +3,7 @@
 
     {!create} forks [procs] children; each child runs its own {!Pool} of
     worker domains (with its own warm {!Fannet.Warm} sessions) and
-    speaks [fannet-wire/1] to the parent over a socketpair. Queries are
+    speaks [fannet-wire/2] to the parent over a socketpair. Queries are
     sharded by network digest — [fnv1a64(digest) mod procs] — so repeat
     queries against the same model always land on the same child and its
     warm sessions stay hot.

@@ -1,4 +1,4 @@
-(* fannet-wire/1 framing. See wire.mli for the format. *)
+(* fannet-wire framing. See wire.mli for the format. *)
 
 let magic = "FNW1"
 
@@ -31,17 +31,17 @@ let be32_get s off =
 
 let header_len = 8 (* magic + length *)
 
-let encode payload =
-  let n = String.length payload in
+let header n =
   if n > max_payload then
     invalid_arg
       (Printf.sprintf "Wire.encode: payload %d exceeds max_payload %d" n
          max_payload);
-  let b = Bytes.create (header_len + n) in
+  let b = Bytes.create header_len in
   Bytes.blit_string magic 0 b 0 4;
   be32_put b 4 n;
-  Bytes.blit_string payload 0 b header_len n;
-  Bytes.to_string b
+  Bytes.unsafe_to_string b
+
+let encode payload = header (String.length payload) ^ payload
 
 let decode buf =
   let len = String.length buf in
@@ -66,7 +66,7 @@ let decode buf =
 let really_read fd n =
   let b = Bytes.create n in
   let rec go off =
-    if off = n then `Ok (Bytes.to_string b)
+    if off = n then `Ok (Bytes.unsafe_to_string b) (* [b] is never touched again *)
     else
       match Unix.read fd b off (n - off) with
       | 0 -> `Eof off
@@ -108,14 +108,13 @@ let read_frame_after ~first fd =
     | `Eof _ -> Error Truncated
     | `Ok rest -> read_rest fd (first ^ rest)
 
+let rec write_all fd s off n =
+  if n > 0 then
+    match Unix.write_substring fd s off n with
+    | k -> write_all fd s (off + k) (n - k)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off n
+
 let write_frame fd payload =
-  let s = encode payload in
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go off =
-    if off < n then
-      match Unix.write fd b off (n - off) with
-      | k -> go (off + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
+  let n = String.length payload in
+  write_all fd (header n) 0 header_len;
+  write_all fd payload 0 n

@@ -1,4 +1,5 @@
-(** [fannet-wire/1] framing: length-prefixed payloads over a byte stream.
+(** [fannet-wire] framing: length-prefixed payloads over a byte stream
+    (unchanged since [fannet-wire/1]).
 
     A frame is [magic (4 bytes, "FNW1") | length (4 bytes, big-endian,
     payload bytes) | payload]. The payload is an opaque byte string —
@@ -52,5 +53,7 @@ val read_frame_after : first:string -> Unix.file_descr -> (string, error) result
     bytes to distinguish frames from [GET ] scrapes). *)
 
 val write_frame : Unix.file_descr -> string -> unit
-(** Write one complete frame (handles short writes). Raises
-    [Unix.Unix_error] on a broken pipe — callers own the socket. *)
+(** Write one complete frame (handles short writes): the same bytes as
+    [encode payload], written as the 8-byte header and then the payload,
+    which is never copied. Raises [Unix.Unix_error] on a broken pipe —
+    callers own the socket — and [Invalid_argument] like {!encode}. *)

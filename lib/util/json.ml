@@ -9,25 +9,47 @@ type t =
 
 (* ---------- emitting ---------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+exception Non_finite of float
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Strings without a character to escape - every certificate text and
+   nearly every key - are returned as they are, uncopied. *)
+let escape s =
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
+
+(* The shortest of %.15g/%.16g/%.17g that reads back as the same float
+   (%.17g always does), so distinct floats never share a rendering. A
+   rendering without '.' or an exponent gets ".0", or it would read back
+   as an [Int]. *)
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.12g" f
+  if not (Float.is_finite f) then raise (Non_finite f)
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else
+    let s =
+      let p15 = Printf.sprintf "%.15g" f in
+      if float_of_string p15 = f then p15
+      else
+        let p16 = Printf.sprintf "%.16g" f in
+        if float_of_string p16 = f then p16 else Printf.sprintf "%.17g" f
+    in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
 
 let rec emit buf ~indent ~level v =
   let pad n = if indent then Buffer.add_string buf (String.make (2 * n) ' ') in
@@ -117,8 +139,8 @@ let of_string s =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
-  let parse_string () =
-    expect '"';
+  (* The escape-handling slow path, from the opening quote's successor. *)
+  let parse_escaped_string () =
     let buf = Buffer.create 16 in
     let rec loop () =
       if !pos >= len then fail "unterminated string"
@@ -162,13 +184,27 @@ let of_string s =
     loop ();
     Buffer.contents buf
   in
-  let parse_number () =
+  (* Fast path: a string without escapes is one [String.sub]. *)
+  let parse_string () =
+    expect '"';
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
+    let i = ref start in
+    while !i < len && (match String.unsafe_get s !i with '"' | '\\' -> false | _ -> true) do
+      incr i
+    done;
+    if !i < len && String.unsafe_get s !i = '"' then begin
+      pos := !i + 1;
+      String.sub s start (!i - start)
+    end
+    else parse_escaped_string ()
+  in
+  let is_num_char c =
+    match c with
+    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+    | _ -> false
+  in
+  let parse_number_text start =
+    pos := start;
     while !pos < len && is_num_char s.[!pos] do
       advance ()
     done;
@@ -181,6 +217,29 @@ let of_string s =
       match int_of_string_opt text with
       | Some n -> Int n
       | None -> fail (Printf.sprintf "bad number %S" text)
+  in
+  (* Fast path: an optional '-' and at most 18 digits (no overflow
+     possible) followed by a non-number character is an [Int] read in
+     place. Anything else - floats, long or malformed tokens - takes the
+     textual path, so the accepted documents and values are unchanged. *)
+  let parse_number () =
+    let start = !pos in
+    let neg = s.[start] = '-' in
+    let i = ref (if neg then start + 1 else start) in
+    let n = ref 0 in
+    while
+      !i < len && !i - start <= 18
+      && match String.unsafe_get s !i with '0' .. '9' -> true | _ -> false
+    do
+      n := (10 * !n) + (Char.code (String.unsafe_get s !i) - 48);
+      incr i
+    done;
+    let digits = !i - start - if neg then 1 else 0 in
+    if digits > 0 && digits <= 18 && not (!i < len && is_num_char s.[!i]) then begin
+      pos := !i;
+      Int (if neg then - !n else !n)
+    end
+    else parse_number_text start
   in
   let rec parse_value () =
     skip_ws ();

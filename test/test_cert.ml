@@ -483,6 +483,123 @@ let prop_dimacs_roundtrip =
       back.Sat.Dimacs.n_vars = n_vars
       && back.Sat.Dimacs.clauses = cnf.Sat.Dimacs.clauses)
 
+(* ---------- the canonical wire form (Verdict.to_json / of_json) ---------- *)
+
+module J = Util.Json
+
+let gen_lit = QCheck.Gen.(map2 (fun v neg -> if neg then -v else v) (1 -- 5000) bool)
+
+(* Empty clauses and empty proofs included. *)
+let gen_clause = QCheck.Gen.(list_size (0 -- 6) gen_lit)
+
+let gen_wire_cert =
+  QCheck.Gen.(
+    let* n_vars = 0 -- 5000 in
+    let* cnf = list_size (0 -- 20) gen_clause in
+    let* assumptions = list_size (0 -- 4) gen_lit in
+    oneof
+      [
+        (let+ model = array_size (0 -- 40) bool in
+         V.Model { n_vars; cnf; assumptions; model });
+        (let+ proof =
+           list_size (0 -- 20)
+             (oneof [ map (fun c -> R.Learn c) gen_clause; map (fun c -> R.Delete c) gen_clause ])
+         in
+         V.Refutation { n_vars; cnf; assumptions; proof });
+      ])
+
+let arb_wire_cert = QCheck.make ~print:(fun c -> J.to_string (V.to_json c)) gen_wire_cert
+
+let prop_wire_roundtrip =
+  QCheck.Test.make ~name:"wire form: decode inverts encode, bytes stable" ~count:300
+    arb_wire_cert (fun c ->
+      let bytes = J.to_string (V.to_json c) in
+      match J.of_string bytes with
+      | Error _ -> false
+      | Ok j -> (
+          match V.of_json j with
+          | Ok c' -> c' = c && J.to_string (V.to_json c') = bytes
+          | Error _ -> false))
+
+(* A real refutation survives the wire form and still checks. *)
+let test_wire_real_certificate () =
+  let n, clauses = pigeonhole_clauses ~pigeons:6 ~holes:5 in
+  let _, s, trace = traced_solve n clauses in
+  let c = unsat_cert "php" s trace in
+  let bytes = J.to_string (V.to_json c) in
+  Alcotest.(check bool) "no escapes needed" false (String.contains bytes '\\');
+  match Result.map V.of_json (J.of_string bytes) with
+  | Ok (Ok c') ->
+      Alcotest.(check bool) "same certificate" true (c' = c);
+      check_ok "decoded certificate" (V.check c')
+  | _ -> Alcotest.fail "wire form did not decode"
+
+let cert_doc ?(kind = "refutation") ?(cnf = "1 -2 0") ?(assumptions = "2")
+    ?(last = ("proof", "d 1 -2 0 0")) () =
+  J.Obj
+    [
+      ("kind", J.String kind);
+      ("n_vars", J.Int 2);
+      ("cnf", J.String cnf);
+      ("assumptions", J.String assumptions);
+      (fst last, J.String (snd last));
+    ]
+
+let test_wire_garbage_typed () =
+  let expect name doc pred =
+    match V.of_json doc with
+    | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+    | Error e ->
+        if not (pred e) then
+          Alcotest.failf "%s: wrong error %s" name (V.codec_error_to_string e)
+  in
+  (match V.of_json (cert_doc ()) with
+  | Ok (V.Refutation { cnf = [ [ 1; -2 ] ]; assumptions = [ 2 ]; proof = [ R.Delete [ 1; -2 ]; R.Learn [] ]; _ }) -> ()
+  | _ -> Alcotest.fail "the well-formed sample must decode");
+  let missing = function V.Missing_zero _ -> true | _ -> false in
+  let stray = function V.Stray_delete _ -> true | _ -> false in
+  let token = function V.Bad_token _ -> true | _ -> false in
+  let shape = function V.Bad_shape _ -> true | _ -> false in
+  expect "cnf without its last 0" (cert_doc ~cnf:"1 -2" ()) missing;
+  expect "proof without its last 0" (cert_doc ~last:("proof", "1 0 2") ()) missing;
+  expect "dangling d" (cert_doc ~last:("proof", "0 d") ()) missing;
+  expect "d inside cnf" (cert_doc ~cnf:"d 1 0" ()) stray;
+  expect "d inside a proof clause" (cert_doc ~last:("proof", "1 d 2 0") ()) stray;
+  expect "d d" (cert_doc ~last:("proof", "d d 1 0") ()) stray;
+  expect "d among assumptions" (cert_doc ~assumptions:"d" ()) stray;
+  expect "non-integer token" (cert_doc ~cnf:"1 x 0" ()) token;
+  expect "float token" (cert_doc ~cnf:"1.5 0" ()) token;
+  expect "leading zero" (cert_doc ~cnf:"01 0" ()) token;
+  expect "minus zero" (cert_doc ~cnf:"-0" ()) token;
+  expect "plus sign" (cert_doc ~cnf:"+1 0" ()) token;
+  expect "overflow" (cert_doc ~cnf:"99999999999999999999 0" ()) token;
+  expect "double space" (cert_doc ~cnf:"1  0" ()) token;
+  expect "leading space" (cert_doc ~cnf:" 1 0" ()) token;
+  expect "trailing space" (cert_doc ~cnf:"1 0 " ()) token;
+  expect "newline" (cert_doc ~cnf:"1 0\n2 0" ()) token;
+  expect "zero assumption" (cert_doc ~assumptions:"0" ()) token;
+  expect "model bit" (cert_doc ~kind:"model" ~last:("model", "0120") ()) token;
+  expect "unknown kind" (cert_doc ~kind:"maybe" ()) shape;
+  expect "model under a refutation" (cert_doc ~last:("model", "01") ()) shape;
+  expect "int-list cnf" (J.Obj [ ("kind", J.String "model"); ("n_vars", J.Int 1); ("cnf", J.List []) ]) shape;
+  expect "not an object" (J.List []) shape
+
+let arb_garbage_text =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(string_size ~gen:(oneofl [ '0'; '1'; '2'; '-'; ' '; 'd'; 'x'; '9' ]) (0 -- 30))
+
+let prop_wire_total =
+  QCheck.Test.make ~name:"wire form: decoding garbage text never raises" ~count:1000
+    (QCheck.pair arb_garbage_text arb_garbage_text) (fun (a, b) ->
+      List.for_all
+        (fun doc -> match V.of_json doc with Ok _ | Error _ -> true)
+        [
+          cert_doc ~cnf:a ~last:("proof", b) ();
+          cert_doc ~assumptions:a ();
+          cert_doc ~kind:"model" ~cnf:b ~last:("model", a) ();
+        ])
+
 let () =
   Alcotest.run "cert"
     [
@@ -525,6 +642,13 @@ let () =
           Alcotest.test_case "bad token rejected" `Quick
             test_dimacs_bad_token_still_fails;
           QCheck_alcotest.to_alcotest prop_dimacs_roundtrip;
+        ] );
+      ( "wire-form",
+        [
+          QCheck_alcotest.to_alcotest prop_wire_roundtrip;
+          Alcotest.test_case "real refutation" `Quick test_wire_real_certificate;
+          Alcotest.test_case "garbage is a typed error" `Quick test_wire_garbage_typed;
+          QCheck_alcotest.to_alcotest prop_wire_total;
         ] );
       ( "smtlite",
         [

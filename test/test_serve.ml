@@ -1,4 +1,4 @@
-(* Tests for the serving layer: fannet-wire/1 framing and message codec
+(* Tests for the serving layer: fannet-wire/2 framing and message codec
    (QCheck roundtrips + malformed-input totality), the LRU verdict cache,
    the resident worker pool, differential daemon-vs-library answers
    (cold / warm / cache-hit, certificates re-checked independently), a
@@ -210,16 +210,11 @@ let gen_query =
            oneof
              [
                map (fun certify -> P.Count_exact { certify }) bool;
-               (* Dyadic epsilon/delta survive the %.12g float printer. *)
-               (let* e16 = 1 -- 64 in
-                let* d16 = 1 -- 15 in
+               (* Any finite float survives the JSON float printer. *)
+               (let* epsilon = float_range 1e-9 4. in
+                let* delta = float_range 1e-9 1. in
                 let+ seed = 0 -- 1000 in
-                P.Count_approx
-                  {
-                    epsilon = float_of_int e16 /. 16.;
-                    delta = float_of_int d16 /. 16.;
-                    seed;
-                  });
+                P.Count_approx { epsilon; delta; seed });
              ]
          in
          P.Count { spec; input; label; mode });
@@ -227,10 +222,7 @@ let gen_query =
 
 let gen_budget =
   QCheck.Gen.(
-    let* timeout_s =
-      (* Dyadic fractions survive the %.12g float printer exactly. *)
-      opt (map (fun k -> float_of_int k /. 16.) (0 -- 1000))
-    in
+    let* timeout_s = opt (float_range 0. 1000.) in
     let+ conflicts = opt (0 -- 100_000) in
     { P.timeout_s; conflicts })
 
@@ -267,12 +259,14 @@ let gen_verdict =
         map (fun r -> B.Unknown r) gen_reason;
       ])
 
-let gen_clause = QCheck.Gen.(list_size (0 -- 4) (oneofl [ -3; -2; -1; 1; 2; 3 ]))
+(* Empty clauses, empty CNFs and empty proofs included. *)
+let gen_clause =
+  QCheck.Gen.(list_size (0 -- 4) (map2 (fun v neg -> if neg then -v else v) (1 -- 3000) bool))
 
 let gen_cert =
   QCheck.Gen.(
-    let* n_vars = 1 -- 6 in
-    let* cnf = list_size (0 -- 5) gen_clause in
+    let* n_vars = 1 -- 3000 in
+    let* cnf = list_size (0 -- 8) gen_clause in
     let* assumptions = gen_clause in
     oneof
       [
@@ -294,9 +288,33 @@ let gen_bigcount =
     oneof
       [
         map Util.Bigcount.of_int (0 -- 1_000_000);
-        (* Dyadic log2 values roundtrip through the float printer. *)
-        map (fun k -> Util.Bigcount.Huge (float_of_int k /. 4.)) (256 -- 2048);
+        map (fun l -> Util.Bigcount.Huge l) (float_range 62. 4096.);
       ])
+
+(* Structurally random fannet-count-cert/2 certificates: the codec does
+   not judge them, Count.Certificate.check does. *)
+let gen_count_cert =
+  QCheck.Gen.(
+    let triple = triple gen_name (-50 -- 0) (0 -- 50) in
+    let* vars = array_size (0 -- 3) triple in
+    let* free = array_size (0 -- 2) triple in
+    let* count = gen_bigcount in
+    let+ entries =
+      list_size (0 -- 3)
+        (let* ranges = array_size (0 -- 3) (pair (-9 -- 0) (0 -- 9)) in
+         let+ proof =
+           oneof
+             [
+               map (fun c -> Count.Certificate.Unsat_cube c) gen_cert;
+               map (fun c -> Count.Certificate.Full_cube c) gen_cert;
+               (let* witnesses = list_size (0 -- 3) (array_size (0 -- 3) (-9 -- 9)) in
+                let+ completion = gen_cert in
+                Count.Certificate.Enum_cube { witnesses; completion });
+             ]
+         in
+         { Count.Certificate.ranges; proof })
+    in
+    { Count.Certificate.vars; free; count; entries })
 
 let gen_side =
   QCheck.Gen.(
@@ -326,8 +344,9 @@ let gen_answer =
           (oneof
              [
                (let* flips = gen_bigcount in
-                let+ total = gen_bigcount in
-                Ok { P.flips; total; count_cert = None });
+                let* total = gen_bigcount in
+                let+ count_cert = opt gen_count_cert in
+                Ok { P.flips; total; count_cert });
                map (fun r -> Error r) gen_reason;
              ]);
       ])
@@ -412,6 +431,24 @@ let prop_reply_roundtrip =
       | Ok e' -> P.reply_equal e e' && e'.P.rid = e.P.rid
       | Error _ -> false)
 
+(* The daemon's splice and the tree encoder are one code path: for any
+   answer, splicing its cached bytes gives encode_reply's bytes, and a
+   decoded reply re-encodes to the bytes it came from. *)
+let arb_answer_reply =
+  QCheck.make
+    ~print:(fun (rid, cached, a) -> P.encode_reply { P.rid; reply = P.Answer { cached; answer = a } })
+    QCheck.Gen.(triple (0 -- 1_000_000) bool gen_answer)
+
+let prop_splice_is_encode_reply =
+  QCheck.Test.make ~name:"protocol: spliced answer bytes = encode_reply bytes" ~count:500
+    arb_answer_reply (fun (rid, cached, answer) ->
+      let raw = P.encode_reply { P.rid; reply = P.Answer { cached; answer } } in
+      P.encode_answer_reply ~rid ~cached (P.answer_bytes answer) = raw
+      &&
+      match P.decode_reply raw with
+      | Ok e -> P.encode_reply e = raw
+      | Error _ -> false)
+
 let prop_decode_total =
   QCheck.Test.make ~name:"protocol: decoders are total on garbage" ~count:500
     arb_payload (fun s ->
@@ -421,11 +458,11 @@ let prop_decode_total =
 let test_protocol_version_rejected () =
   let j =
     J.Obj
-      [ ("v", J.String "fannet-wire/2"); ("id", J.Int 1); ("req", J.Obj [ ("op", J.String "ping") ]) ]
+      [ ("v", J.String "fannet-wire/0"); ("id", J.Int 1); ("req", J.Obj [ ("op", J.String "ping") ]) ]
   in
   match P.decode_request (J.to_string j) with
   | Error e ->
-      Alcotest.(check bool) "mentions the version" true (contains e "fannet-wire/2")
+      Alcotest.(check bool) "mentions the version" true (contains e "fannet-wire/0")
   | Ok _ -> Alcotest.fail "foreign protocol version must be rejected"
 
 let test_explicit_limit_survives () =
@@ -471,6 +508,26 @@ let test_query_key_ignores_budget () =
     (key P.no_budget)
     (key { P.timeout_s = Some 0.5; conflicts = Some 100 })
 
+(* Regression: floats used to go on the wire as %.12g, so approximate
+   counts whose epsilon or delta differ past the 12th digit shared one
+   cache key - and one cached answer. *)
+let test_query_key_float_precision () =
+  let q epsilon delta =
+    P.Count
+      {
+        spec = N.symmetric ~delta:2 ~bias_noise:false;
+        input = [| 1; 2 |];
+        label = 0;
+        mode = P.Count_approx { epsilon; delta; seed = 7 };
+      }
+  in
+  let key q = P.query_key ~digest:"d" q in
+  Alcotest.(check bool) "epsilon past the 12th digit" true
+    (key (q 0.3 0.1) <> key (q (0.1 +. 0.2) 0.1));
+  Alcotest.(check bool) "delta past the 12th digit" true
+    (key (q 0.5 0.1) <> key (q 0.5 (0.1 +. 1e-14)));
+  Alcotest.(check string) "equal floats, equal keys" (key (q 0.3 0.1)) (key (q 0.3 0.1))
+
 let test_answer_decided () =
   let check name expected a = Alcotest.(check bool) name expected (P.answer_decided a) in
   check "robust" true (P.Verdict B.Robust);
@@ -490,7 +547,7 @@ let test_answer_decided () =
           }));
   check "counted error" false (P.Counted (Error Resil.Budget.Deadline))
 
-(* A Counted answer carrying a real fannet-count-cert/1 certificate must
+(* A Counted answer carrying a real fannet-count-cert/2 certificate must
    survive the wire codec byte-identically — that is what makes cached
    certified counts byte-stable. *)
 let test_counted_cert_roundtrip () =
@@ -633,11 +690,51 @@ let test_daemon_survives_garbage () =
   (* Intact frame, valid JSON, wrong message: typed error, connection
      lives. *)
   with_client d (fun c ->
-      C.send_raw c (W.encode "{\"v\":\"fannet-wire/1\",\"id\":3,\"req\":{\"op\":\"nope\"}}");
+      C.send_raw c (W.encode "{\"v\":\"fannet-wire/2\",\"id\":3,\"req\":{\"op\":\"nope\"}}");
       (match C.read_reply c with
       | Ok { P.reply = P.Protocol_error _; _ } -> ()
       | _ -> Alcotest.fail "unknown op must get Protocol_error");
       ok (C.ping c));
+  (* A number that overflows to infinity ([1e999]) in a query: typed
+     error, connection lives, accounting identity intact. *)
+  with_client d (fun c ->
+      let digest = ok (C.load c (toy_qnet ())) in
+      let q =
+        P.Count
+          {
+            spec = N.symmetric ~delta:1 ~bias_noise:false;
+            input = [| 1; 2 |];
+            label = 0;
+            mode = P.Count_approx { epsilon = 0.5; delta = 0.25; seed = 7 };
+          }
+      in
+      let req =
+        P.encode_request
+          { P.rid = 4; request = P.Query { digest; query = q; budget = P.no_budget } }
+      in
+      List.iter
+        (fun (needle, huge) ->
+          let i =
+            let nn = String.length needle in
+            let rec go i = if String.sub req i nn = needle then i else go (i + 1) in
+            go 0
+          in
+          let raw =
+            String.sub req 0 i ^ huge
+            ^ String.sub req (i + String.length needle)
+                (String.length req - i - String.length needle)
+          in
+          C.send_raw c (W.encode raw);
+          (match C.read_reply c with
+          | Ok { P.reply = P.Protocol_error _; _ } -> ()
+          | r ->
+              Alcotest.failf "non-finite %s: wanted Protocol_error, got %s" needle
+                (match r with Ok e -> P.encode_reply e | Error e -> e));
+          ok (C.ping c))
+        [ ("\"epsilon\":0.5", "\"epsilon\":1e999"); ("\"delta\":0.25", "\"delta\":-1e999") ];
+      let s = D.stats d in
+      Alcotest.(check int) "accounting identity" s.P.submitted
+        (s.P.served + s.P.rejected + s.P.failed));
   (* After all that abuse the accept loop still answers. *)
   with_client d (fun c -> ok (C.ping c))
 
@@ -854,8 +951,8 @@ let test_differential_cache_hit_and_certificates () =
       (* Bit-identity of the cached answer with the cold one. *)
       Alcotest.(check string)
         (name ^ ": cache hit bit-identical")
-        (J.to_string (P.answer_json cold))
-        (J.to_string (P.answer_json hit)))
+        (P.answer_bytes cold)
+        (P.answer_bytes hit))
     (differential_queries net);
   (* The certificate that crossed the wire twice (cold + cached) must
      still convince the independent RUP/model checker. *)
@@ -1160,8 +1257,6 @@ let with_store_path f =
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
 
-let answer_bytes a = J.to_string (P.answer_json a)
-
 (* Three cheap decided answers, distinct per key. *)
 let store_entries net =
   let input = [| 112; 87 |] in
@@ -1194,14 +1289,14 @@ let test_store_roundtrip () =
   Alcotest.(check int) "nothing dropped" 0 st.Serve.Store.dropped;
   Alcotest.(check int) "nothing truncated" 0 st.Serve.Store.truncated_bytes;
   Alcotest.(check string)
-    "k1 superseded, bit-identical" (answer_bytes a3)
-    (answer_bytes (List.assoc "k1" recovered));
+    "k1 superseded, bit-identical" (P.answer_bytes a3)
+    (P.answer_bytes (List.assoc "k1" recovered));
   List.iter
     (fun k ->
       Alcotest.(check string)
         (k ^ " byte-identical")
-        (answer_bytes (List.assoc k entries))
-        (answer_bytes (List.assoc k recovered)))
+        (P.answer_bytes (List.assoc k entries))
+        (P.answer_bytes (List.assoc k recovered)))
     [ "k2"; "k3" ]
 
 let test_store_torn_tail () =
@@ -1275,8 +1370,8 @@ let test_store_torn_faultpoint () =
   let t2, recovered = ok (Serve.Store.open_ ~path) in
   Fun.protect ~finally:(fun () -> Serve.Store.close t2) @@ fun () ->
   Alcotest.(check int) "exactly the torn record shed" 1 (List.length recovered);
-  Alcotest.(check string) "survivor bit-identical" (answer_bytes a1)
-    (answer_bytes (List.assoc k1 recovered));
+  Alcotest.(check string) "survivor bit-identical" (P.answer_bytes a1)
+    (P.answer_bytes (List.assoc k1 recovered));
   Alcotest.(check bool) "torn bytes counted" true
     ((Serve.Store.stats t2).Serve.Store.truncated_bytes > 0)
 
@@ -1306,8 +1401,8 @@ let test_store_compaction () =
   let t2, recovered = ok (Serve.Store.open_ ~path) in
   Fun.protect ~finally:(fun () -> Serve.Store.close t2) @@ fun () ->
   Alcotest.(check int) "one live record" 1 (List.length recovered);
-  Alcotest.(check string) "live record bit-identical" (answer_bytes a)
-    (answer_bytes (List.assoc "k" recovered))
+  Alcotest.(check string) "live record bit-identical" (P.answer_bytes a)
+    (P.answer_bytes (List.assoc "k" recovered))
 
 (* ================================================================== *)
 (* Supervised daemon + persistent store                                *)
@@ -1333,7 +1428,7 @@ let test_daemon_store_write_through_and_recovery () =
       List.map
         (fun (name, q) ->
           let _, a = answer_of_reply name (ok (C.query c ~digest q)) in
-          (name, q, answer_bytes a))
+          (name, q, P.answer_bytes a))
         queries
     in
     (match D.store_stats d with
@@ -1363,7 +1458,7 @@ let test_daemon_store_write_through_and_recovery () =
       let cached, a = answer_of_reply name (ok (C.query c ~digest q)) in
       Alcotest.(check bool) (name ^ ": served from recovered store") true cached;
       Alcotest.(check string) (name ^ ": bit-identical across restart") bytes
-        (answer_bytes a);
+        (P.answer_bytes a);
       match (q, a) with
       | P.Certify { spec; input; label }, P.Certified { verdict; cert } -> (
           match
@@ -1374,6 +1469,69 @@ let test_daemon_store_write_through_and_recovery () =
           | Error e -> Alcotest.failf "recovered certificate rejected: %s" e)
       | _ -> ())
     recorded
+
+(* Run [f] with stderr going to a file; returns [f]'s result and what
+   it printed there. *)
+let capturing_stderr f =
+  let path = Filename.temp_file "fannet_stderr" ".txt" in
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (r, text)
+
+(* A journal the daemon cannot open - here one written in the older
+   fannet-store/1 format - must not stop it serving, nor vanish
+   silently: stderr names the path and the reason, the
+   serve.store.open_failed counter counts it, and the file is left as it
+   was. *)
+let test_daemon_foreign_journal () =
+  with_store_path @@ fun path ->
+  let payload = {|{"key":"k","answer":{"a":"min-flip","ok":3}}|} in
+  let old =
+    Printf.sprintf "fannet-store/1\n%d %016Lx\n%s\n" (String.length payload)
+      (Resil.Ckpt.fnv1a64 payload) payload
+  in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc old);
+  let open_failed = Obs.Metrics.counter "serve.store.open_failed" in
+  let was_enabled = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was_enabled) @@ fun () ->
+  let before = Obs.Metrics.counter_value open_failed in
+  let d, err = capturing_stderr (fun () -> test_daemon ~store_path:path ()) in
+  Fun.protect ~finally:(fun () -> D.stop d) (fun () ->
+      Alcotest.(check bool) "no journal" true (D.store_stats d = None);
+      with_client d @@ fun c ->
+      let net = toy_qnet () in
+      let digest = ok (C.load c net) in
+      let input = [| 112; 87 |] in
+      let q =
+        P.Exists_flip
+          {
+            backend = B.Bnb;
+            spec = N.symmetric ~delta:1 ~bias_noise:false;
+            input;
+            label = Nn.Qnet.predict net input;
+          }
+      in
+      ignore (answer_of_reply "cold" (ok (C.query c ~digest q)));
+      let cached, _ = answer_of_reply "repeat" (ok (C.query c ~digest q)) in
+      Alcotest.(check bool) "still caching in memory" true cached);
+  Alcotest.(check int) "serve.store.open_failed counted" (before + 1)
+    (Obs.Metrics.counter_value open_failed);
+  Alcotest.(check bool) ("stderr names the path: " ^ err) true (contains err path);
+  Alcotest.(check bool) ("stderr gives the reason: " ^ err) true (contains err "fannet-store/1");
+  Alcotest.(check string) "journal left untouched" old
+    (In_channel.with_open_bin path In_channel.input_all)
 
 let test_daemon_store_torn_shutdown () =
   with_clean_faults @@ fun () ->
@@ -1402,7 +1560,7 @@ let test_daemon_store_torn_shutdown () =
     (match answer_of_reply "q3" (ok (C.query c ~digest (query_d 3))) with
     | false, _ -> ()
     | true, _ -> Alcotest.fail "q3 cannot be cached");
-    answer_bytes a1
+    P.answer_bytes a1
   in
   F.clear ();
   (* Recovery sheds exactly the torn record; the first answer survives
@@ -1413,7 +1571,7 @@ let test_daemon_store_torn_shutdown () =
   Alcotest.(check bool) "torn tail truncated" true
     ((Serve.Store.stats t).Serve.Store.truncated_bytes > 0);
   Alcotest.(check string) "survivor bit-identical" survivor
-    (answer_bytes (snd (List.hd recovered)))
+    (P.answer_bytes (snd (List.hd recovered)))
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -1435,10 +1593,12 @@ let () =
         [
           qc prop_request_roundtrip;
           qc prop_reply_roundtrip;
+          qc prop_splice_is_encode_reply;
           qc prop_decode_total;
           Alcotest.test_case "version rejected" `Quick test_protocol_version_rejected;
           Alcotest.test_case "explicit limit survives" `Quick test_explicit_limit_survives;
           Alcotest.test_case "query_key ignores budget" `Quick test_query_key_ignores_budget;
+          Alcotest.test_case "query_key float precision" `Quick test_query_key_float_precision;
           Alcotest.test_case "answer_decided" `Quick test_answer_decided;
           Alcotest.test_case "counted cert roundtrip" `Quick test_counted_cert_roundtrip;
         ] );
@@ -1492,6 +1652,7 @@ let () =
             test_daemon_store_write_through_and_recovery;
           Alcotest.test_case "shutdown with a torn journal" `Quick
             test_daemon_store_torn_shutdown;
+          Alcotest.test_case "foreign journal header" `Quick test_daemon_foreign_journal;
         ] );
       ( "warm-lru",
         [

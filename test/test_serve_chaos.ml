@@ -69,8 +69,6 @@ let with_store_path f =
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
 
-let answer_bytes a = J.to_string (P.answer_json a)
-
 let answer_of_reply name = function
   | P.Answer { cached; answer } -> (cached, answer)
   | r ->
@@ -233,7 +231,7 @@ let test_daemon_supervised_differential () =
         true (P.answer_equal cold expected);
       Alcotest.(check string)
         (name ^ ": hit bit-identical")
-        (answer_bytes cold) (answer_bytes hit))
+        (P.answer_bytes cold) (P.answer_bytes hit))
     (chaos_queries net);
   Alcotest.(check bool) "supervised stats exposed" true (D.supervisor_stats d <> None)
 
@@ -312,7 +310,7 @@ let test_daemon_chaos_soak () =
         match C.query c ~digest ~retries:5 q with
         | Ok (P.Answer { answer; _ }) when P.answer_decided answer ->
             Mutex.lock recorded_lock;
-            recorded := (q, answer_bytes answer) :: !recorded;
+            recorded := (q, P.answer_bytes answer) :: !recorded;
             Mutex.unlock recorded_lock
         | Ok (P.Answer _ | P.Overloaded _ | P.Server_error _) -> ()
         | Ok _ | Error _ -> Atomic.incr anomalies
@@ -357,7 +355,7 @@ let test_daemon_chaos_soak () =
     (fun (q, bytes) ->
       match answer_of_reply "recovered" (ok (C.query c ~digest q)) with
       | true, a ->
-          Alcotest.(check string) "recovered bit-identical" bytes (answer_bytes a);
+          Alcotest.(check string) "recovered bit-identical" bytes (P.answer_bytes a);
           (match (q, a) with
           | P.Certify { spec; input; label }, P.Certified { verdict; cert } -> (
               match

@@ -487,6 +487,259 @@ let test_json_file_roundtrip () =
       | Ok v -> Alcotest.(check bool) "file roundtrip" true (v = sample_json)
       | Error e -> Alcotest.fail e)
 
+(* Floats travel with enough digits to read back as themselves: 0.1+0.2
+   is not 0.3 on the wire, and non-finite floats are refused at emit. *)
+let arb_any_float =
+  QCheck.make ~print:(Printf.sprintf "%h")
+    QCheck.Gen.(oneof [ float; map Int64.float_of_bits ui64; map (fun k -> float_of_int k /. 3.) int ])
+
+let prop_json_float_roundtrip =
+  QCheck.Test.make ~name:"of_string (to_string (Float f)) = Float f" ~count:2000 arb_any_float
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      Util.Json.of_string (Util.Json.to_string (Util.Json.Float f)) = Ok (Util.Json.Float f))
+
+let test_json_float_repr () =
+  let repr f = Util.Json.to_string (Util.Json.Float f) in
+  Alcotest.(check string) "0.1+0.2" "0.30000000000000004" (repr (0.1 +. 0.2));
+  Alcotest.(check string) "short stays short" "0.1" (repr 0.1);
+  Alcotest.(check string) "integral" "3.0" (repr 3.);
+  Alcotest.(check bool) "distinct past the 12th digit" true (repr 0.3 <> repr (0.3 +. 1e-13));
+  (* 2^53 prints without a point or exponent under %.16g; it must still
+     read back as a Float, not an Int. *)
+  Alcotest.(check bool) "large integral float stays a float" true
+    (Util.Json.of_string (repr 9007199254740992.) = Ok (Util.Json.Float 9007199254740992.));
+  List.iter
+    (fun f ->
+      match Util.Json.to_string (Util.Json.List [ Util.Json.Float f ]) with
+      | exception Util.Json.Non_finite g ->
+          Alcotest.(check bool) "carries the value" true (Float.is_nan f = Float.is_nan g)
+      | s -> Alcotest.failf "emitted %s" s)
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+(* The parser as it was before its string and integer fast paths - the
+   oracle the fast paths must agree with. *)
+let oracle_of_string s =
+  let module J = Util.Json in
+  let exception Parse_error of int * string in
+  let len = String.length s in
+  let pos = ref 0 in
+  let fail msg = raise (Parse_error (!pos, msg)) in
+  let peek () = if !pos < len then Some s.[!pos] else None in
+  let advance () = incr pos in
+  let skip_ws () =
+    while
+      !pos < len
+      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+    do
+      advance ()
+    done
+  in
+  let expect c =
+    match peek () with
+    | Some d when d = c -> advance ()
+    | _ -> fail (Printf.sprintf "expected %C" c)
+  in
+  let literal word value =
+    let n = String.length word in
+    if !pos + n <= len && String.sub s !pos n = word then begin
+      pos := !pos + n;
+      value
+    end
+    else fail (Printf.sprintf "expected %s" word)
+  in
+  let parse_string () =
+    expect '"';
+    let buf = Buffer.create 16 in
+    let rec loop () =
+      if !pos >= len then fail "unterminated string"
+      else
+        match s.[!pos] with
+        | '"' -> advance ()
+        | '\\' ->
+            advance ();
+            (if !pos >= len then fail "unterminated escape"
+             else
+               match s.[!pos] with
+               | '"' -> Buffer.add_char buf '"'
+               | '\\' -> Buffer.add_char buf '\\'
+               | '/' -> Buffer.add_char buf '/'
+               | 'n' -> Buffer.add_char buf '\n'
+               | 'r' -> Buffer.add_char buf '\r'
+               | 't' -> Buffer.add_char buf '\t'
+               | 'b' -> Buffer.add_char buf '\b'
+               | 'f' -> Buffer.add_char buf '\012'
+               | 'u' ->
+                   if !pos + 4 >= len then fail "truncated \\u escape";
+                   let hex = String.sub s (!pos + 1) 4 in
+                   let code =
+                     match int_of_string_opt ("0x" ^ hex) with
+                     | Some c -> c
+                     | None -> fail "bad \\u escape"
+                   in
+                   if code < 0x80 then Buffer.add_char buf (Char.chr code)
+                   else Buffer.add_string buf (Printf.sprintf "\\u%s" hex);
+                   pos := !pos + 4
+               | c -> fail (Printf.sprintf "bad escape %C" c));
+            advance ();
+            loop ()
+        | c ->
+            Buffer.add_char buf c;
+            advance ();
+            loop ()
+    in
+    loop ();
+    Buffer.contents buf
+  in
+  let parse_number () =
+    let start = !pos in
+    let is_num_char c =
+      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+    in
+    while !pos < len && is_num_char s.[!pos] do
+      advance ()
+    done;
+    let text = String.sub s start (!pos - start) in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') text then
+      match float_of_string_opt text with
+      | Some f -> J.Float f
+      | None -> fail (Printf.sprintf "bad number %S" text)
+    else
+      match int_of_string_opt text with
+      | Some n -> J.Int n
+      | None -> fail (Printf.sprintf "bad number %S" text)
+  in
+  let rec parse_value () =
+    skip_ws ();
+    match peek () with
+    | None -> fail "unexpected end of input"
+    | Some '"' -> J.String (parse_string ())
+    | Some 't' -> literal "true" (J.Bool true)
+    | Some 'f' -> literal "false" (J.Bool false)
+    | Some 'n' -> literal "null" J.Null
+    | Some '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin
+          advance ();
+          J.List []
+        end
+        else begin
+          let items = ref [ parse_value () ] in
+          skip_ws ();
+          while peek () = Some ',' do
+            advance ();
+            items := parse_value () :: !items;
+            skip_ws ()
+          done;
+          expect ']';
+          J.List (List.rev !items)
+        end
+    | Some '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin
+          advance ();
+          J.Obj []
+        end
+        else begin
+          let field () =
+            skip_ws ();
+            let k = parse_string () in
+            skip_ws ();
+            expect ':';
+            (k, parse_value ())
+          in
+          let fields = ref [ field () ] in
+          skip_ws ();
+          while peek () = Some ',' do
+            advance ();
+            fields := field () :: !fields;
+            skip_ws ()
+          done;
+          expect '}';
+          J.Obj (List.rev !fields)
+        end
+    | Some ('-' | '0' .. '9') -> parse_number ()
+    | Some c -> fail (Printf.sprintf "unexpected %C" c)
+  in
+  match
+    let v = parse_value () in
+    skip_ws ();
+    if !pos <> len then fail "trailing garbage";
+    v
+  with
+  | v -> Ok v
+  | exception Parse_error (at, msg) -> Error (Printf.sprintf "at byte %d: %s" at msg)
+
+let gen_json_string =
+  QCheck.Gen.(
+    string_size ~gen:(oneof [ char_range 'a' 'z'; oneofl [ '"'; '\\'; '\n'; '\t'; '\001'; ' '; '/'; '\xc3'; '\xa9' ] ])
+      (0 -- 12))
+
+let gen_json =
+  QCheck.Gen.(
+    sized_size (0 -- 4)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Util.Json.Null;
+                 map (fun b -> Util.Json.Bool b) bool;
+                 map (fun i -> Util.Json.Int i) (oneof [ small_signed_int; int; oneofl [ max_int; min_int; 0 ] ]);
+                 map (fun f -> Util.Json.Float f) (oneof [ float_range (-1e6) 1e6; map (fun k -> float_of_int k *. 1e300) (-5 -- 5) ]);
+                 map (fun s -> Util.Json.String s) gen_json_string;
+               ]
+           in
+           if n = 0 then leaf
+           else
+             oneof
+               [
+                 leaf;
+                 map (fun l -> Util.Json.List l) (list_size (0 -- 4) (self (n - 1)));
+                 map (fun l -> Util.Json.Obj l) (list_size (0 -- 4) (pair gen_json_string (self (n - 1))));
+               ]))
+
+(* Documents as rendered, and damaged copies of them: a cut, a dropped
+   byte or an inserted one - so both accepting and rejecting paths are
+   compared. *)
+let arb_json_text =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      let* v = gen_json in
+      let* pretty = bool in
+      let text = if pretty then Util.Json.pretty v else Util.Json.to_string v in
+      let n = String.length text in
+      let* i = 0 -- n in
+      let* c = oneofl [ '"'; '\\'; '-'; '+'; '.'; 'e'; '0'; '9'; ' '; ','; ']'; 'x' ] in
+      oneofl
+        [
+          text;
+          String.sub text 0 i;
+          (if i < n then String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1) else text);
+          String.sub text 0 i ^ String.make 1 c ^ String.sub text i (n - i);
+        ])
+
+let same_parse s =
+  match (Util.Json.of_string s, oracle_of_string s) with
+  | Ok a, Ok b -> a = b
+  | Error _, Error _ -> true
+  | _ -> false
+
+let prop_json_scanner_oracle =
+  QCheck.Test.make ~name:"fast-path scanner agrees with the old parser" ~count:2000 arb_json_text
+    same_parse
+
+let test_json_number_edges () =
+  List.iter
+    (fun s -> if not (same_parse s) then Alcotest.failf "scanner and oracle disagree on %S" s)
+    [
+      "0"; "-0"; "00"; "-"; "--1"; "1-2"; "1+2"; "1e5"; "1E5"; "-1.5e-3"; "123456789012345678";
+      "1234567890123456789"; "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+      "-4611686018427387905"; "99999999999999999999"; "[1,-2,3]"; "[-]"; "[1.]"; "{\"a\":-12}";
+      "\"plain\""; "\"esc\\\"aped\""; "\"\\u0041\""; "\"unterminated"; "\"a\\"; "1e999";
+    ]
+
 (* ---------- Bigcount ---------- *)
 
 module Bc = Util.Bigcount
@@ -621,6 +874,10 @@ let () =
           Alcotest.test_case "member" `Quick test_json_member;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "file roundtrip" `Quick test_json_file_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_float_roundtrip;
+          Alcotest.test_case "float rendering" `Quick test_json_float_repr;
+          QCheck_alcotest.to_alcotest prop_json_scanner_oracle;
+          Alcotest.test_case "number edges" `Quick test_json_number_edges;
         ] );
       ( "bigcount",
         [
