@@ -11,7 +11,7 @@ test:
 # one end-to-end certified verdict, an instrumented profile run whose
 # metrics snapshot must self-validate, the parallel-engine
 # no-regression gate (work stealing, warm sessions, portfolio), and the
-# serving benchmark's correctness gates.
+# repository benchmark's correctness gates.
 check: build test fuzz-smoke certify-smoke metrics-smoke faults-smoke serve-smoke chaos-smoke count-smoke ladder-smoke perf-smoke bench-parallel
 
 # Differential fuzzing subset for CI (< 10 s): 200 random cases, fixed
@@ -99,11 +99,14 @@ count-smoke:
 ladder-smoke:
 	dune exec bench/main.exe -- --ladder --smoke
 
-# Serving-benchmark smoke (~1 min): both serving workloads of the repo
-# benchmark, 3 s each, untraced. Fails on a non-zero exit: a cache hit
-# whose bytes differ from the first answer's, a certified reply that
-# fails check_certified, or served + rejected + failed != submitted.
+# Repository-benchmark smoke (~1 min): all three workloads, 3 s each,
+# untraced. Fails on a non-zero exit: a paper-analysis round whose
+# results differ from the first round's, a network tolerance other than
+# the README's +-9 %, a cache hit whose bytes differ from the first
+# answer's, a certified reply that fails check_certified, or
+# served + rejected + failed != submitted.
 perf-smoke:
+	sh perfbench/run.sh --workload paper-analysis --seed 1 --seconds 3 --trace 0
 	sh perfbench/run.sh --workload serve-hot --seed 1 --seconds 3 --trace 0
 	sh perfbench/run.sh --workload serve-cold --seed 1 --seconds 3 --trace 0
 

@@ -729,8 +729,8 @@ let bench_parallel ?(smoke = false) (p : Fannet.Pipeline.t) ~out =
   in
   let delta = 15 in
   let max_delta = if smoke then 30 else 50 in
-  (* Exercise the pool even on single-core machines: chunking and domain
-     spawning must preserve results regardless of the hardware count. *)
+  (* Exercise the pool even on single-core machines: chunking and helper
+     scheduling must preserve results regardless of the hardware count. *)
   let njobs = max 2 (Util.Parallel.default_jobs ()) in
   let table =
     Util.Table.create
@@ -874,11 +874,11 @@ let bench_parallel ?(smoke = false) (p : Fannet.Pipeline.t) ~out =
   let single_core = cores <= 1 in
   (* Speedup contract: with real cores a parallel ladder must beat
      jobs=1; on a single-core box the honest ratio is <= 1 and the gate
-     is no-regression only — domain spawning and stealing may not cost
+     is no-regression only — pool scheduling and stealing may not cost
      more than a bounded constant factor. *)
   let no_regression_floor = 0.15 in
-  (* Sub-10ms smoke timings are dominated by domain-spawn constants and
-     scheduler noise, so the ratio floor alone would flake; a failure
+  (* Sub-10ms smoke timings are dominated by scheduling constants and
+     noise, so the ratio floor alone would flake; a failure
      additionally requires an absolute regression worth caring about. *)
   let abs_regression_slack_s = 0.05 in
   let assert_speedup name ~t1 ~tn =

@@ -1273,7 +1273,7 @@ let serve_cmd =
       "Supervised worker processes (crash-only mode): fork the compute pool \
        into $(docv) processes sharded by network digest, restart crashed \
        workers with exponential backoff behind a restart-storm circuit \
-       breaker. 0 (default) keeps the legacy in-process pool."
+       breaker. 0 (default) computes on this process's own domain pool."
     in
     Arg.(value & opt int 0 & info [ "procs" ] ~docv:"N" ~doc)
   in

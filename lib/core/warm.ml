@@ -36,11 +36,20 @@ let max_entries = 64
 (* Each domain owns one pool: a table of entries plus a monotonically
    increasing recency tick. Entries never cross domains, so neither the
    table nor the tick needs locking — only the process-wide counters
-   below are shared (and atomic). *)
-type pool = { tbl : (string, entry) Hashtbl.t; mutable tick : int }
+   below are shared (and atomic). [reset] bumps a process-wide
+   generation that each domain applies to its own table on next use:
+   resident pool domains outlive any one reset. *)
+type pool = { tbl : (string, entry) Hashtbl.t; mutable tick : int; mutable gen : int }
+
+let generation = Atomic.make 0
 
 let pool_key : pool Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { tbl = Hashtbl.create 16; tick = 0 })
+  Domain.DLS.new_key (fun () -> { tbl = Hashtbl.create 16; tick = 0; gen = 0 })
+
+let own_pool () =
+  let pool = Domain.DLS.get pool_key and g = Atomic.get generation in
+  if pool.gen <> g then (Hashtbl.reset pool.tbl; pool.gen <- g);
+  pool
 
 (* Always-on counters (atomic, process-wide) so reuse is testable even
    with the metrics registry disabled; the registry mirrors them. *)
@@ -62,9 +71,9 @@ let m_misses = Obs.Metrics.counter "warm.session_misses"
 
 let m_evictions = Obs.Metrics.counter "warm.session_evictions"
 
-let reset () = Hashtbl.reset (Domain.DLS.get pool_key).tbl
+let reset () = Atomic.incr generation
 
-let size () = Hashtbl.length (Domain.DLS.get pool_key).tbl
+let size () = Hashtbl.length (own_pool ()).tbl
 
 let digest parts = Digest.to_hex (Digest.string (Marshal.to_string parts []))
 
@@ -93,7 +102,7 @@ let evict_lru pool =
    asserted with the misclassification formula over [spec]'s full range;
    narrower probes are sent as assumptions. *)
 let lookup net (spec : Noise.spec) ~input ~label =
-  let pool = Domain.DLS.get pool_key in
+  let pool = own_pool () in
   pool.tick <- pool.tick + 1;
   let key = digest (net, spec, input, label) in
   match Hashtbl.find_opt pool.tbl key with

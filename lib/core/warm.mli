@@ -84,6 +84,7 @@ val size : unit -> int
     domains). *)
 
 val reset : unit -> unit
-(** Drop the calling domain's pooled sessions (counters are kept; the
-    dropped entries do {e not} count as evictions). Mostly for tests
-    that need a cold pool. *)
+(** Drop every domain's pooled sessions (counters are kept; the dropped
+    entries do {e not} count as evictions). Each domain drops its own
+    entries at its next pool access, so resident pool domains start the
+    next batch cold too. Mostly for tests that need a cold pool. *)

@@ -1,12 +1,12 @@
 (* The daemon: accept thread + one systhread per connection for I/O,
-   and compute either on a resident in-process Pool of worker domains
-   (procs = 0) or on supervised worker processes (procs > 0, see
+   and compute either in process on the resident Util.Parallel domain
+   pool (procs = 0) or on supervised worker processes (procs > 0, see
    Supervisor) — crash-only mode, where the accept loop stays
    single-domain and small and a worker crash is an event, not an
    outage. Systhreads all share one domain, so blocking socket reads
    cost nothing in compute terms; the solver work runs where warm
-   Fannet.Warm sessions accumulate (a pool worker domain's DLS, or a
-   worker process's own pool). *)
+   Fannet.Warm sessions accumulate (a pool domain's DLS, in this
+   process or in a worker process). *)
 
 type addr = Unix_path of string | Tcp of string * int
 
@@ -47,9 +47,9 @@ let m_worker_deaths = Obs.Metrics.counter "serve.worker.deaths"
 let m_worker_restarts = Obs.Metrics.counter "serve.worker.restarts"
 let h_query = Obs.Metrics.histogram "serve.query_s"
 
-(* Compute backend: the legacy in-process pool, or the supervised
+(* Compute backend: the process-wide domain pool, or the supervised
    worker-process fleet. *)
-type compute = In_process of Pool.t | Supervised of Supervisor.t
+type compute = In_process | Supervised of Supervisor.t
 
 type t = {
   cfg : config;
@@ -182,9 +182,9 @@ let failed_reply t ~rid reply =
 let compute_query t ~rid ~key ~digest ~query ~budget net =
   let since = Obs.Clock.now_ns () in
   match t.compute with
-  | In_process pool -> (
+  | In_process -> (
       let budget = budget_of t budget in
-      match Pool.run pool (fun () -> execute net ~budget query) with
+      match Util.Parallel.run (fun () -> execute net ~budget query) with
       | answer ->
           Obs.Metrics.observe h_query (Obs.Clock.elapsed_s ~since);
           served_answer t ~rid key answer
@@ -260,7 +260,7 @@ let handle_load t ~network : Protocol.reply =
       Mutex.unlock t.nets_lock;
       (match t.compute with
       | Supervised sup -> Supervisor.load sup ~digest ~network:canonical
-      | In_process _ -> ());
+      | In_process -> ());
       Protocol.Loaded { digest }
 
 (* ---------- connection handling ---------- *)
@@ -480,17 +480,22 @@ let run cfg =
   let cfg = { cfg with workers = Stdlib.max 1 cfg.workers; cap = Stdlib.max 1 cfg.cap } in
   (* Supervised mode forks the compute fleet FIRST, while this process
      is still single-domain with no listening socket or journal to
-     inherit — the in-process pool (which spawns domains, making later
-     forks undefined) exists only in legacy mode. *)
+     inherit; in-process mode grows the domain pool instead, after which
+     this process can no longer fork. *)
   let compute =
     if cfg.procs > 0 then
       Supervised (Supervisor.create ~procs:cfg.procs ~workers:cfg.workers ~execute ())
-    else In_process (Pool.create ~workers:cfg.workers)
+    else begin
+      Util.Parallel.reserve cfg.workers;
+      In_process
+    end
   in
   let listen_fd, bound, unlink_path =
     try bind_listen cfg.addr
     with e ->
-      (match compute with Supervised s -> Supervisor.stop s | In_process p -> Pool.shutdown p);
+      (match compute with
+      | Supervised s -> Supervisor.stop s
+      | In_process -> Util.Parallel.release cfg.workers);
       raise e
   in
   let cache = Lru.create ~cap:cfg.cache_cap_bytes in
@@ -574,7 +579,7 @@ let stop ?(grace_s = 30.) t =
        admission is already off, so nothing new will try to append. *)
     (match t.store with Some s -> Store.close s | None -> ());
     (match t.compute with
-    | In_process pool -> Pool.shutdown pool
+    | In_process -> Util.Parallel.release t.cfg.workers
     | Supervised sup ->
         Obs.Metrics.add m_worker_deaths (Supervisor.deaths sup);
         Obs.Metrics.add m_worker_restarts (Supervisor.restarts sup);
@@ -620,6 +625,6 @@ let store_stats t = Option.map Store.stats t.store
 let supervisor_stats t =
   match t.compute with
   | Supervised sup -> Some (Supervisor.restarts sup, Supervisor.deaths sup)
-  | In_process _ -> None
+  | In_process -> None
 
 let cache_weight t = Lru.total_weight t.cache

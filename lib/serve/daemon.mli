@@ -4,7 +4,7 @@
     {!Protocol} messages. One lightweight thread per connection parses
     frames and answers control requests directly; query requests pass
     admission control, consult the LRU verdict cache, and on a miss run
-    on the resident {!Pool} of worker domains — where warm
+    on the resident {!Util.Parallel} domain pool — where warm
     {!Fannet.Warm} sessions keyed by the resident network accumulate, so
     repeat searches against the same model skip re-encoding.
 
@@ -40,7 +40,9 @@ type addr =
 
 type config = {
   addr : addr;
-  workers : int;       (** worker domains (>= 1), per process when supervised *)
+  workers : int;
+      (** domains reserved as resident in the pool (>= 1), per process
+          when supervised *)
   cap : int;           (** admission cap on concurrent queries (>= 1) *)
   cache_cap_bytes : int;
       (** LRU verdict-cache budget in encoded-answer bytes (certificates
@@ -48,7 +50,8 @@ type config = {
   timeout_ceiling_s : float option;
       (** clamp applied to client-requested budgets; [None] = no ceiling *)
   procs : int;
-      (** supervised worker processes; 0 = legacy in-process pool.
+      (** supervised worker processes; 0 = compute in this process, on
+          the resident {!Util.Parallel} domain pool.
           With [procs > 0] the compute fleet is forked ({!Supervisor}):
           this process keeps exactly one domain, queries are sharded by
           network digest, and a worker crash becomes a typed

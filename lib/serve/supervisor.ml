@@ -11,7 +11,7 @@
    Workers are not forked from the daemon directly. fork(2) from a
    multi-domain-capable OCaml process that has grown dozens of live
    systhreads clones runtime bookkeeping for threads that do not exist
-   in the child; a child that then calls Domain.spawn can reach a
+   in the child; a child that then spawns a domain can reach a
    stop-the-world section whose rendezvous never completes — compute
    wedges mid-GC with no OCaml-level deadline able to fire. The first
    worker generation (forked before the daemon creates any thread) was
@@ -140,8 +140,8 @@ let close_all_but ~keep =
 
 (* Runs in a worker process; never returns. The worker is a fork of the
    single-threaded spawner, so it starts from a quiet runtime and can
-   safely build its own domain pool; warm sessions then accumulate per
-   shard exactly as they did per daemon before supervision. *)
+   safely grow the Util.Parallel domain pool; warm sessions then
+   accumulate per shard exactly as they do in an in-process daemon. *)
 let worker_main ~execute ~workers fd : 'a =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (* the CLI installs stop-the-daemon handlers in the parent; a worker
@@ -149,7 +149,7 @@ let worker_main ~execute ~workers fd : 'a =
   (try Sys.set_signal Sys.sigterm Sys.Signal_default with Invalid_argument _ -> ());
   (try Sys.set_signal Sys.sigint Sys.Signal_default with Invalid_argument _ -> ());
   (try Sys.set_signal Sys.sigchld Sys.Signal_default with Invalid_argument _ -> ());
-  let pool = Pool.create ~workers in
+  Util.Parallel.reserve workers;
   let nets : (string, Nn.Qnet.t) Hashtbl.t = Hashtbl.create 8 in
   let nets_lock = Mutex.create () in
   let send_lock = Mutex.create () in
@@ -159,7 +159,7 @@ let worker_main ~execute ~workers fd : 'a =
     Mutex.unlock send_lock
   in
   let handle_query rid digest query (budget : Protocol.budget_spec) =
-    Pool.submit pool (fun () ->
+    Util.Parallel.submit (fun () ->
         let reply =
           let net =
             Mutex.lock nets_lock;

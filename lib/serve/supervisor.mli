@@ -1,9 +1,10 @@
 (** Process supervision: the daemon's compute pool, forked into worker
     {e processes} so a crash is an event, not an outage.
 
-    {!create} forks [procs] children; each child runs its own {!Pool} of
-    worker domains (with its own warm {!Fannet.Warm} sessions) and
-    speaks [fannet-wire/2] to the parent over a socketpair. Queries are
+    {!create} forks [procs] children; each child reserves [workers]
+    domains in its own {!Util.Parallel} pool (with its own warm
+    {!Fannet.Warm} sessions) and speaks [fannet-wire/2] to the parent
+    over a socketpair. Queries are
     sharded by network digest — [fnv1a64(digest) mod procs] — so repeat
     queries against the same model always land on the same child and its
     warm sessions stay hot.

@@ -1,4 +1,5 @@
-(** Work-stealing domain pool for per-sample verification loops.
+(** Work-stealing batches and resident tasks on one process-wide domain
+    pool.
 
     Every combinator seeds one range of indices per worker (the calling
     domain is worker 0) and lets idle workers steal the upper half of a
@@ -6,9 +7,27 @@
     query — no longer stalls a whole static chunk. Each item's result is
     written back at its original index and the output is reassembled in
     input order, so results are deterministic and independent of [jobs]
-    and of the steal schedule. With [jobs = 1] no domain is spawned and
-    the sequential code path runs — results are bit-identical to the
-    plain [Array] combinators.
+    and of the steal schedule. With [jobs = 1] the sequential code path
+    runs — results are bit-identical to the plain [Array] combinators.
+
+    {b The pool.} Workers other than the caller are tasks on one
+    process-wide domain pool, the only domains this codebase spawns. It
+    starts empty; neither [jobs = 1] nor an empty range starts it, which
+    matters because OCaml 5 refuses [Unix.fork] once any domain has
+    existed. A batch asks for one helper per extra worker and a race for
+    one per extra thunk, but neither grows the pool past
+    [Domain.recommended_domain_count () - 1] (at least 1); surplus
+    helpers queue and their ranges are stolen. Every domain, even an
+    idle one, joins each stop-the-world minor collection, so domains
+    grown by batches do not stay: one that runs out of tasks spins for
+    about the cost of a spawn (back-to-back batches reuse it) and then
+    exits. Domains a server {!reserve}s stay resident and sleep when
+    idle, until it {!release}s them. No domain is ever joined.
+
+    {b Nesting.} A batch may run inside a batch item, a race thunk or a
+    {!run} task. A helper still queued when the caller runs out of work
+    never starts, so a batch completes on its caller even when every
+    pool domain is busy.
 
     Workers must not share mutable state through [f]; per-worker caches
     keyed by {!Domain.DLS} (e.g. warm solver sessions) are fine.
@@ -62,9 +81,9 @@ val filter_mapi_until :
 (** {1 Failure semantics}
 
     A raising item does not abort the batch: its exception is recorded,
-    every other element still runs to completion, every spawned domain
-    is joined, and only then is the exception re-raised — a failing
-    parallel call never leaks running domains. With several failing
+    every other element still runs to completion, every started helper
+    has finished, and only then is the exception re-raised — a failing
+    parallel call never leaves work running behind it. With several failing
     items the exception of the {e lowest-indexed} failing item wins,
     which makes the propagated exception deterministic and independent
     of [jobs] (under the old static chunking the winner was the
@@ -72,22 +91,44 @@ val filter_mapi_until :
 
 (** {1 Racing}
 
-    [race ~cancel thunks] runs every thunk on its own domain (the
-    calling domain runs thunk 0) and reports the first one to return
-    normally. The moment a winner is decided, [cancel] is invoked
-    exactly once — from the winning domain — so the caller can ask the
-    losers to stop cooperatively (e.g. by firing {!Resil.Budget}
-    cancellation tokens); [cancel] must therefore be thread-safe. Every
-    domain is still joined before [race] returns, so losers always run
-    to completion (typically returning quickly once cancelled) and no
-    domain leaks. Returns the winner's index and value plus every
-    thunk's outcome in index order. If {e all} thunks raise, the
-    lowest-indexed exception is re-raised. *)
+    [race ~cancel thunks] runs the thunks as one batch with one worker
+    per thunk (the calling domain runs thunk 0) and reports the first
+    one to return normally. Thunks run concurrently only as far as pool
+    domains are free; the rest run after another thunk finishes. The
+    moment a winner is decided, [cancel] is invoked exactly once — from
+    the winning domain — so the caller can ask the losers to stop
+    cooperatively (e.g. by firing {!Resil.Budget} cancellation tokens);
+    [cancel] must therefore be thread-safe. Every thunk still runs and
+    is accounted for before [race] returns. Returns the winner's index
+    and value plus every thunk's outcome in index order. If {e all}
+    thunks raise, the lowest-indexed exception is re-raised. *)
 
 val race :
   cancel:(unit -> unit) ->
   (unit -> 'a) array ->
   (int * 'a) * ('a, exn) result array
+
+(** {1 Resident tasks}
+
+    Server-shaped use of the same pool. Tasks run in submission order,
+    at most one per domain at a time, so what a task keeps in
+    {!Domain.DLS} (warm solver sessions) is reused by later tasks on
+    that domain and never shared between two running tasks. *)
+
+val reserve : int -> unit
+(** Keep [n] more domains resident, spawning any that are missing. *)
+
+val release : int -> unit
+(** Undo a {!reserve} of [n]: the domains stay until they are idle. *)
+
+val run : (unit -> 'a) -> 'a
+(** Run [f] on a pool domain, sleep the calling thread until it
+    finishes, and return its result or re-raise its exception. Called
+    from a pool domain, [run] runs [f] inline. *)
+
+val submit : (unit -> unit) -> unit
+(** Queue a fire-and-forget task. It must catch its own exceptions; a
+    stray raise is swallowed so it cannot kill the domain. *)
 
 (** {1 Instrumentation}
 

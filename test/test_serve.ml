@@ -1,6 +1,6 @@
 (* Tests for the serving layer: fannet-wire/2 framing and message codec
    (QCheck roundtrips + malformed-input totality), the LRU verdict cache,
-   the resident worker pool, differential daemon-vs-library answers
+   differential daemon-vs-library answers
    (cold / warm / cache-hit, certificates re-checked independently), a
    16-client concurrency soak under injected faults with the accounting
    identity served + rejected + failed = submitted, and the Warm
@@ -613,46 +613,6 @@ let test_lru_cap_zero () =
   Serve.Lru.add l "a" 1;
   Alcotest.(check bool) "nothing cached" true (Serve.Lru.find l "a" = None);
   Alcotest.(check int) "len" 0 (Serve.Lru.length l)
-
-(* ================================================================== *)
-(* Worker pool                                                         *)
-(* ================================================================== *)
-
-let test_pool_run_and_exceptions () =
-  let p = Serve.Pool.create ~workers:2 in
-  Fun.protect ~finally:(fun () -> Serve.Pool.shutdown p) @@ fun () ->
-  Alcotest.(check int) "result" 42 (Serve.Pool.run p (fun () -> 42));
-  (match Serve.Pool.run p (fun () -> failwith "boom") with
-  | exception Failure m -> Alcotest.(check string) "transported" "boom" m
-  | _ -> Alcotest.fail "exception must propagate");
-  (* The worker survived the raise. *)
-  Alcotest.(check int) "still alive" 7 (Serve.Pool.run p (fun () -> 7))
-
-let test_pool_worker_affinity () =
-  (* With one worker every job runs on the same resident domain — the
-     property warm DLS sessions rely on. *)
-  let p = Serve.Pool.create ~workers:1 in
-  Fun.protect ~finally:(fun () -> Serve.Pool.shutdown p) @@ fun () ->
-  let id () = (Domain.self () :> int) in
-  let a = Serve.Pool.run p id in
-  let b = Serve.Pool.run p id in
-  Alcotest.(check int) "same domain" a b;
-  Alcotest.(check bool) "not the caller's domain" true (a <> id ())
-
-let test_pool_shutdown_semantics () =
-  let p = Serve.Pool.create ~workers:2 in
-  let counter = Atomic.make 0 in
-  for _ = 1 to 8 do
-    Serve.Pool.submit p (fun () -> Atomic.incr counter)
-  done;
-  Serve.Pool.shutdown p;
-  (* Drain semantics: all queued jobs ran before the domains joined. *)
-  Alcotest.(check int) "all jobs drained" 8 (Atomic.get counter);
-  (match Serve.Pool.submit p (fun () -> ()) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "submit after shutdown must raise");
-  (* Idempotent. *)
-  Serve.Pool.shutdown p
 
 (* ================================================================== *)
 (* Live daemon: malformed input battery                                *)
@@ -1618,12 +1578,6 @@ let () =
           Alcotest.test_case "serve.store.torn faultpoint" `Quick
             test_store_torn_faultpoint;
           Alcotest.test_case "self-compaction" `Quick test_store_compaction;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "run + exceptions" `Quick test_pool_run_and_exceptions;
-          Alcotest.test_case "worker affinity" `Quick test_pool_worker_affinity;
-          Alcotest.test_case "shutdown drains" `Quick test_pool_shutdown_semantics;
         ] );
       ( "daemon",
         [

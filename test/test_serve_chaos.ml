@@ -7,10 +7,11 @@
    These live in their own executable because [Unix.fork] is refused for
    the lifetime of an OCaml 5 process once any domain has ever been
    created in it — so every fork (supervisor creation AND respawn after
-   a kill) must happen before anything spawns an in-process worker pool.
-   Test order below is load-bearing: the chaos soak runs last because
-   its restart phase boots a legacy (in-process, domain-spawning)
-   daemon, after which no further fork can succeed. *)
+   a kill) must happen before anything starts the Util.Parallel domain
+   pool. Test order below is load-bearing: the fork-order guard runs
+   first, and the chaos soak runs last because its restart phase boots an
+   in-process daemon, which grows the pool, after which no further fork
+   can succeed. *)
 
 module P = Serve.Protocol
 module D = Serve.Daemon
@@ -368,11 +369,27 @@ let test_daemon_chaos_soak () =
       | false, _ -> Alcotest.fail "survivor must be a cache hit")
     !recorded
 
+(* The pool is lazy: sequential batches and empty ranges must never
+   start it, or every fork below (and the daemon's supervisor) fails. *)
+let test_fork_order_guard () =
+  Alcotest.(check (array int)) "jobs=1 batch" [| 2; 3 |]
+    (Util.Parallel.map ~jobs:1 succ [| 1; 2 |]);
+  Alcotest.(check (array int)) "empty jobs=4 batch" [||]
+    (Util.Parallel.map ~jobs:4 succ [||]);
+  match Unix.fork () with
+  | 0 -> Unix._exit 0
+  | pid -> (
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "forked child did not exit cleanly")
+
 let () =
   Alcotest.run "serve-chaos"
     [
       ( "supervisor",
         [
+          Alcotest.test_case "fork-order guard: no domain before fork" `Quick
+            test_fork_order_guard;
           Alcotest.test_case "death, restart, load replay" `Quick
             test_supervisor_restart_and_replay;
           Alcotest.test_case "restart-storm circuit breaker" `Quick

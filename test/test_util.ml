@@ -433,6 +433,161 @@ let test_parallel_default_jobs_override () =
   Util.Parallel.set_default_jobs None;
   Alcotest.(check int) "restored" before (Util.Parallel.default_jobs ())
 
+(* ---------- Resident pool ---------- *)
+
+let test_pool_run_and_exceptions () =
+  Alcotest.(check int) "result" 42 (Util.Parallel.run (fun () -> 42));
+  (match Util.Parallel.run (fun () -> failwith "boom") with
+  | exception Failure m -> Alcotest.(check string) "transported" "boom" m
+  | _ -> Alcotest.fail "exception must propagate");
+  (* The domain survived the raise. *)
+  Alcotest.(check int) "still alive" 7 (Util.Parallel.run (fun () -> 7))
+
+let test_pool_run_off_caller () =
+  let id () = (Domain.self () :> int) in
+  let caller = id () in
+  for _ = 1 to 8 do
+    Alcotest.(check bool) "not the caller's domain" true (Util.Parallel.run id <> caller)
+  done;
+  Alcotest.(check bool) "inline when called from a pool domain" true
+    (Util.Parallel.run (fun () -> Util.Parallel.run id = id ()))
+
+(* Poll [cond] for up to [timeout_s]; resident tasks finish
+   asynchronously, so tests wait on their effects, never on a join. *)
+let eventually ?(timeout_s = 10.) cond =
+  let t0 = Unix.gettimeofday () in
+  while (not (cond ())) && Unix.gettimeofday () -. t0 < timeout_s do
+    Unix.sleepf 0.001
+  done;
+  cond ()
+
+let test_pool_submit_runs_every_job () =
+  let counter = Atomic.make 0 in
+  for _ = 1 to 8 do
+    Util.Parallel.submit (fun () -> Atomic.incr counter)
+  done;
+  (* A raising job is swallowed and must not stop later jobs. *)
+  Util.Parallel.submit (fun () -> failwith "stray");
+  Util.Parallel.submit (fun () -> Atomic.incr counter);
+  Alcotest.(check bool) "all jobs ran" true
+    (eventually (fun () -> Atomic.get counter = 9))
+
+let nested_f x = (x * x) mod 97
+
+let nested_arr = Array.init 41 (fun i -> i)
+
+let test_pool_nested_map_in_run () =
+  let expected = Util.Parallel.map ~jobs:1 nested_f nested_arr in
+  Alcotest.(check (array int)) "map jobs=2 inside run" expected
+    (Util.Parallel.run (fun () -> Util.Parallel.map ~jobs:2 nested_f nested_arr))
+
+let test_pool_nested_map_in_batch () =
+  let inner x =
+    Array.fold_left ( + ) x (Util.Parallel.map ~jobs:2 nested_f nested_arr)
+  in
+  let outer = Array.init 9 (fun i -> i) in
+  Alcotest.(check (array int)) "map jobs=2 inside a batch item"
+    (Array.map (fun x -> Array.fold_left ( + ) x (Array.map nested_f nested_arr)) outer)
+    (Util.Parallel.map ~jobs:2 inner outer)
+
+(* Occupy the pool: queue more gated tasks than it has domains, so every
+   domain blocks on the gate and any task queued afterwards (a batch's
+   helpers) cannot start until [release] opens it. *)
+let with_blocked_pool f =
+  let n_blockers = 64 in
+  let m = Mutex.create () and c = Condition.create () and open_ = ref false in
+  let started = Atomic.make 0 and finished = Atomic.make 0 in
+  Util.Parallel.reserve 2;
+  for _ = 1 to n_blockers do
+    Util.Parallel.submit (fun () ->
+        Atomic.incr started;
+        Mutex.lock m;
+        while not !open_ do
+          Condition.wait c m
+        done;
+        Mutex.unlock m;
+        Atomic.incr finished)
+  done;
+  let release () =
+    Mutex.lock m;
+    open_ := true;
+    Condition.broadcast c;
+    Mutex.unlock m
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      release ();
+      ignore (eventually (fun () -> Atomic.get finished = n_blockers));
+      Util.Parallel.release 2)
+    (fun () ->
+      Alcotest.(check bool) "pool domains are blocked" true
+        (eventually (fun () -> Atomic.get started >= 2));
+      f ())
+
+let test_pool_batch_while_blocked () =
+  let thirds x = if x mod 3 = 0 then Some x else None in
+  let expected = Util.Parallel.map ~jobs:1 nested_f nested_arr in
+  let expected_fm = Util.Parallel.filter_map ~jobs:1 thirds nested_arr in
+  with_blocked_pool @@ fun () ->
+  Alcotest.(check (array int)) "map completes on the caller" expected
+    (Util.Parallel.map ~jobs:4 nested_f nested_arr);
+  Alcotest.(check (list int)) "filter_map completes on the caller" expected_fm
+    (Util.Parallel.filter_map ~jobs:4 thirds nested_arr);
+  Alcotest.(check bool) "exists completes on the caller" true
+    (Util.Parallel.exists ~jobs:4 (fun x -> x = 40) nested_arr);
+  let (w, v), outcomes =
+    Util.Parallel.race
+      ~cancel:(fun () -> ())
+      [| (fun () -> 1); (fun () -> 2); (fun () -> 3) |]
+  in
+  Alcotest.(check (pair int int)) "race completes on the caller" (0, 1) (w, v);
+  Alcotest.(check int) "every thunk ran" 3
+    (Array.fold_left (fun n o -> match o with Ok _ -> n + 1 | Error _ -> n) 0 outcomes)
+
+let test_pool_stats_helpers_never_started () =
+  let recorded = ref [||] in
+  Util.Parallel.set_probe
+    (Some
+       {
+         Util.Parallel.now_s = (fun () -> Unix.gettimeofday ());
+         record = (fun ~stats -> recorded := stats);
+       });
+  Fun.protect ~finally:(fun () -> Util.Parallel.set_probe None) @@ fun () ->
+  with_blocked_pool @@ fun () ->
+  ignore (Util.Parallel.map ~jobs:4 nested_f nested_arr);
+  let stats = !recorded in
+  Alcotest.(check int) "one stat per worker" 4 (Array.length stats);
+  Alcotest.(check int) "items sum to the batch length" (Array.length nested_arr)
+    (Array.fold_left (fun acc s -> acc + s.Util.Parallel.items) 0 stats);
+  Alcotest.(check int) "the caller ran every item" (Array.length nested_arr)
+    stats.(0).Util.Parallel.items
+
+let test_pool_race_in_run () =
+  let cancelled = Atomic.make false in
+  let slow id () =
+    let rec wait n =
+      if Atomic.get cancelled || n > 2000 then id
+      else begin
+        Unix.sleepf 0.001;
+        wait (n + 1)
+      end
+    in
+    wait 0
+  in
+  let (w, v), outcomes =
+    Util.Parallel.run (fun () ->
+        Util.Parallel.race
+          ~cancel:(fun () -> Atomic.set cancelled true)
+          [| (fun () -> 0); slow 1; slow 2 |])
+  in
+  Alcotest.(check (pair int int)) "thunk 0 wins" (0, 0) (w, v);
+  Array.iteri
+    (fun i o ->
+      match o with
+      | Ok id -> Alcotest.(check int) "outcome in index order" i id
+      | Error _ -> Alcotest.fail "no thunk raised")
+    outcomes
+
 (* ---------- Json ---------- *)
 
 let sample_json =
@@ -866,6 +1021,19 @@ let () =
           Alcotest.test_case "race skips raising loser" `Quick
             test_parallel_race_skips_raising_loser;
           Alcotest.test_case "default jobs override" `Quick test_parallel_default_jobs_override;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "run + exceptions" `Quick test_pool_run_and_exceptions;
+          Alcotest.test_case "run off the caller's domain" `Quick test_pool_run_off_caller;
+          Alcotest.test_case "submit runs every job" `Quick test_pool_submit_runs_every_job;
+          Alcotest.test_case "nested map in run" `Quick test_pool_nested_map_in_run;
+          Alcotest.test_case "nested map in batch item" `Quick test_pool_nested_map_in_batch;
+          Alcotest.test_case "batch while every domain blocked" `Quick
+            test_pool_batch_while_blocked;
+          Alcotest.test_case "stats when helpers never start" `Quick
+            test_pool_stats_helpers_never_started;
+          Alcotest.test_case "race inside run" `Quick test_pool_race_in_run;
         ] );
       ( "json",
         [
