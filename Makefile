@@ -33,13 +33,15 @@ certify-smoke:
 
 # Fault-injection smoke (~seconds): the full resilience suite (budget
 # exhaustion, cancellation, torn checkpoints, kill-and-resume, the
-# FANNET_FAULTS matrix), then two CLI runs under injected faults and a
-# tiny --timeout, asserting a typed exit 2 and a clean message - never
-# a crash or an uncaught exception.
+# FANNET_FAULTS matrix), then CLI runs under injected faults and a tiny
+# --timeout, asserting a typed exit 2 and a clean message - never a
+# crash, an uncaught exception or an undecided sweep reported as robust.
 faults-smoke:
 	dune exec test/test_resil.exe -- -q
 	dune exec bin/fannet_cli.exe -- tolerance --timeout 0.05; [ $$? -eq 2 ]
 	FANNET_FAULTS=backend.unknown dune exec bin/fannet_cli.exe -- tolerance; 	  [ $$? -eq 2 ]
+	FANNET_FAULTS=sat.oom dune exec bin/fannet_cli.exe -- sweep --backend smt; [ $$? -eq 2 ]
+	FANNET_FAULTS=backend.unknown dune exec bin/fannet_cli.exe -- sweep; [ $$? -eq 2 ]
 
 # Instrumented profile on the fast pipeline (~seconds): runs with the
 # observability registry enabled, prints the metrics table + span tree,

@@ -658,8 +658,9 @@ let extension_absolute_noise (p : Fannet.Pipeline.t) =
   Array.iteri
     (fun i (input, label) ->
       let rel =
-        Fannet.Tolerance.input_min_flip_delta Fannet.Backend.Bnb p.qnet
-          ~bias_noise ~max_delta:60 ~input ~label
+        Resil.Budget.ok_or_fail
+          @@ Fannet.Tolerance.input_min_flip_delta_b Fannet.Backend.Bnb p.qnet
+             ~bias_noise ~max_delta:60 ~input ~label
       in
       (* Binary search the smallest absolute L-infinity radius that flips. *)
       let abs_flips d =
@@ -825,8 +826,9 @@ let bench_parallel ?(smoke = false) (p : Fannet.Pipeline.t) ~out =
   let smt_max_delta = 40 in
   let warm, warm_t =
     time_of (fun () ->
-        Fannet.Tolerance.input_min_flip_delta Fannet.Backend.Smt qnet
-          ~bias_noise:false ~max_delta:smt_max_delta ~input:sinput ~label:slabel)
+        Resil.Budget.ok_or_fail
+          @@ Fannet.Tolerance.input_min_flip_delta_b Fannet.Backend.Smt qnet
+             ~bias_noise:false ~max_delta:smt_max_delta ~input:sinput ~label:slabel)
   in
   let cold, cold_t =
     time_of (fun () ->
@@ -855,8 +857,9 @@ let bench_parallel ?(smoke = false) (p : Fannet.Pipeline.t) ~out =
         end)
   in
   let bnb_ref =
-    Fannet.Tolerance.input_min_flip_delta Fannet.Backend.Bnb qnet ~bias_noise:false
-      ~max_delta:smt_max_delta ~input:sinput ~label:slabel
+    Resil.Budget.ok_or_fail
+      @@ Fannet.Tolerance.input_min_flip_delta_b Fannet.Backend.Bnb qnet ~bias_noise:false
+         ~max_delta:smt_max_delta ~input:sinput ~label:slabel
   in
   if warm <> cold || warm <> bnb_ref then
     failwith "E15: incremental smt min-flip disagrees with cold smt or bnb";
@@ -947,8 +950,9 @@ let bench_parallel ?(smoke = false) (p : Fannet.Pipeline.t) ~out =
      re-encode nothing and answer identically from the pooled session. *)
   Fannet.Warm.reset ();
   let warm_search () =
-    Fannet.Tolerance.input_min_flip_delta Fannet.Backend.Smt qnet
-      ~bias_noise:false ~max_delta:smt_max_delta ~input:sinput ~label:slabel
+    Resil.Budget.ok_or_fail
+      @@ Fannet.Tolerance.input_min_flip_delta_b Fannet.Backend.Smt qnet
+         ~bias_noise:false ~max_delta:smt_max_delta ~input:sinput ~label:slabel
   in
   let first, first_s = time_of warm_search in
   let misses_after_first = Fannet.Warm.misses () in
@@ -1288,8 +1292,9 @@ let bench_obs ?(smoke = false) ~out () =
              ~label:slabel))
       deltas;
     ignore
-      (Fannet.Tolerance.input_min_flip_delta Fannet.Backend.Smt qnet
-         ~bias_noise:false ~max_delta:40 ~input:sinput ~label:slabel)
+      (Resil.Budget.ok_or_fail
+         @@ Fannet.Tolerance.input_min_flip_delta_b Fannet.Backend.Smt qnet
+            ~bias_noise:false ~max_delta:40 ~input:sinput ~label:slabel)
   in
   let reps = if smoke then 3 else 7 in
   let best f =

@@ -26,8 +26,9 @@
    to persist/resume progress across kills (fannet-ckpt/1 format).
 
    Exit codes (all commands): 0 = verified/certified or analysis done,
-   1 = a counterexample was found, 2 = usage error, invalid result, or
-   budget exhausted (reason on stderr). *)
+   1 = a counterexample was found, 2 = usage error, invalid result,
+   budget exhausted or a query the backend cannot decide (reason on
+   stderr). *)
 
 open Cmdliner
 
@@ -151,17 +152,22 @@ let budget_of timeout max_mem =
   | timeout_s, max_mem_mb -> Some (Resil.Budget.create ?timeout_s ?max_mem_mb ())
 
 let exit_exhausted r =
-  Printf.eprintf "analysis incomplete: budget exhausted (%s)\n%!"
+  Printf.eprintf "analysis incomplete: %s (%s)\n%!"
+    (if r = Resil.Budget.Incomplete then "the backend cannot decide"
+     else "budget exhausted")
     (Resil.Budget.reason_to_string r);
   exit 2
 
 (* Run [f] under the budget, retrying with a doubled budget on a
-   retryable exhaustion; the terminal [Error] exits 2 with the reason. *)
+   retryable exhaustion; the terminal [Error] exits 2 with the reason.
+   Without a budget there is nothing to double, so a stop is final. *)
 let with_retries ~retries budget f =
   let rec go attempt budget =
     match f budget with
     | Ok v -> v
-    | Error r when attempt < retries && Resil.Budget.retryable r ->
+    | Error r
+      when attempt < retries && Option.is_some budget
+           && Resil.Budget.retryable r ->
         Printf.eprintf
           "budget exhausted (%s); retrying with a doubled budget (attempt \
            %d/%d)\n%!"
@@ -189,9 +195,10 @@ let exits =
     Cmd.Exit.info 1 ~doc:"a counterexample was found (a noise vector flips the input, or fuzzing found a backend disagreement).";
     Cmd.Exit.info 2
       ~doc:
-        "usage error, invalid certificate, internal failure, or resource \
-         budget exhausted ($(b,--timeout)/$(b,--max-mem); the typed reason \
-         — deadline, conflicts, memory, cancelled — is printed on stderr).";
+        "usage error, invalid certificate, internal failure, resource \
+         budget exhausted ($(b,--timeout)/$(b,--max-mem)), or a query the \
+         backend cannot decide; the typed reason — deadline, conflicts, \
+         memory, cancelled, incomplete — is printed on stderr.";
   ]
 
 let bias_flag no_bias_noise = not no_bias_noise
@@ -271,18 +278,13 @@ let tolerance_cmd =
     let p = pipeline dataset_seed init_seed in
     let inputs = Fannet.Pipeline.analysis_inputs p in
     let bias_noise = bias_flag no_bias_noise in
-    let budget = budget_of timeout max_mem in
     let tol =
-      match (checkpoint, budget) with
-      | None, None ->
-          Fannet.Tolerance.network_tolerance backend p.qnet ~bias_noise
-            ~max_delta ~inputs
-      | Some path, _ ->
-          with_retries ~retries budget (fun budget ->
+      with_retries ~retries (budget_of timeout max_mem) (fun budget ->
+          match checkpoint with
+          | Some path ->
               Fannet.Tolerance.network_tolerance_ckpt ?budget ~checkpoint:path
-                backend p.qnet ~bias_noise ~max_delta ~inputs)
-      | None, Some _ ->
-          with_retries ~retries budget (fun budget ->
+                backend p.qnet ~bias_noise ~max_delta ~inputs
+          | None ->
               Fannet.Tolerance.network_tolerance_b ?budget backend p.qnet
                 ~bias_noise ~max_delta ~inputs)
     in
@@ -306,24 +308,26 @@ let sweep_cmd =
     let bias_noise = bias_flag no_bias_noise in
     let deltas = [ 5; 10; 15; 20; 25; 30; 35; 40 ] in
     let sweep =
-      match budget_of timeout max_mem with
-      | None -> Fannet.Tolerance.sweep backend p.qnet ~bias_noise ~deltas ~inputs
-      | Some _ as budget ->
-          with_retries ~retries budget (fun budget ->
-              Fannet.Tolerance.sweep_b ?budget backend p.qnet ~bias_noise
-                ~deltas ~inputs)
+      with_retries ~retries (budget_of timeout max_mem) (fun budget ->
+          Fannet.Tolerance.sweep_b ?budget backend p.qnet ~bias_noise ~deltas
+            ~inputs)
     in
-    let table = Util.Table.create ~header:[ "noise range"; "misclassified"; "of" ] in
+    let table =
+      Util.Table.create ~header:[ "noise range"; "misclassified"; "undecided"; "of" ]
+    in
     List.iter
       (fun (pt : Fannet.Tolerance.sweep_point) ->
         Util.Table.add_row table
           [
             Printf.sprintf "[-%d,+%d]%%" pt.delta pt.delta;
             string_of_int pt.n_misclassified;
+            string_of_int pt.undecided;
             string_of_int (Array.length inputs);
           ])
       sweep;
-    Util.Table.print table
+    Util.Table.print table;
+    if List.exists (fun (pt : Fannet.Tolerance.sweep_point) -> pt.undecided > 0) sweep
+    then exit_exhausted Resil.Budget.Incomplete
   in
   let doc = "Misclassification counts per noise range (Fig. 4 left panel)." in
   Cmd.v (Cmd.info "sweep" ~doc ~exits)
@@ -392,28 +396,16 @@ let sensitivity_cmd =
     let inputs = Fannet.Pipeline.analysis_inputs p in
     let bias_noise = bias_flag no_bias_noise in
     let spec = Fannet.Noise.symmetric ~delta ~bias_noise in
-    let budget = budget_of timeout max_mem in
     let cexs, sides =
-      match budget with
-      | None ->
-          let cexs, _ =
-            Fannet.Extract.for_inputs ~limit_per_input:limit p.qnet spec ~inputs
-          in
-          (cexs, Fannet.Sensitivity.formal_sidedness p.qnet spec ~inputs)
-      | Some _ ->
-          with_retries ~retries budget (fun budget ->
-              match
-                Fannet.Extract.for_inputs ~limit_per_input:limit ?budget p.qnet
-                  spec ~inputs
-              with
-              | _, Fannet.Extract.Budget r -> Error r
-              | cexs, (Fannet.Extract.Complete | Fannet.Extract.Truncated) -> (
-                  match
-                    Fannet.Sensitivity.formal_sidedness_b ?budget p.qnet spec
-                      ~inputs
-                  with
-                  | Error r -> Error r
-                  | Ok sides -> Ok (cexs, sides)))
+      with_retries ~retries (budget_of timeout max_mem) (fun budget ->
+          match
+            Fannet.Extract.for_inputs ~limit_per_input:limit ?budget p.qnet spec
+              ~inputs
+          with
+          | _, Fannet.Extract.Budget r -> Error r
+          | cexs, (Fannet.Extract.Complete | Fannet.Extract.Truncated) ->
+              Fannet.Sensitivity.formal_sidedness_b ?budget p.qnet spec ~inputs
+              |> Result.map (fun sides -> (cexs, sides)))
     in
     let stats = Fannet.Sensitivity.per_node spec ~n_inputs:5 cexs in
     Array.iter (fun s -> print_endline (Fannet.Sensitivity.stats_to_string s)) stats;
@@ -439,13 +431,9 @@ let boundary_cmd =
     let inputs = Fannet.Pipeline.analysis_inputs p in
     let bias_noise = bias_flag no_bias_noise in
     let points =
-      match budget_of timeout max_mem with
-      | None ->
-          Fannet.Boundary.analyze backend p.qnet ~bias_noise ~max_delta ~inputs
-      | Some _ as budget ->
-          with_retries ~retries budget (fun budget ->
-              Fannet.Boundary.analyze_b ?budget backend p.qnet ~bias_noise
-                ~max_delta ~inputs)
+      with_retries ~retries (budget_of timeout max_mem) (fun budget ->
+          Fannet.Boundary.analyze_b ?budget backend p.qnet ~bias_noise
+            ~max_delta ~inputs)
     in
     let table = Util.Table.create ~header:[ "input"; "true"; "min flip"; "margin" ] in
     Array.iter
@@ -708,14 +696,9 @@ let certify_cmd =
     let budget = budget_of timeout max_mem in
     if bracket then begin
       let b =
-        match budget with
-        | None ->
-            Fannet.Tolerance.certified_min_flip_delta p.qnet ~bias_noise
-              ~max_delta ~input ~label
-        | Some _ ->
-            with_retries ~retries budget (fun budget ->
-                Fannet.Tolerance.certified_min_flip_delta_b ?budget p.qnet
-                  ~bias_noise ~max_delta ~input ~label)
+        with_retries ~retries budget (fun budget ->
+            Fannet.Tolerance.certified_min_flip_delta_b ?budget p.qnet
+              ~bias_noise ~max_delta ~input ~label)
       in
       (match
          Fannet.Tolerance.check_certified_bracket p.qnet ~bias_noise b ~input ~label
@@ -754,14 +737,11 @@ let certify_cmd =
             (cv, seed)
       in
       let cv, seed =
-        match budget with
-        | None -> certified ()
-        | Some _ ->
-            with_retries ~retries budget (fun budget ->
-                match certified ?budget () with
-                | { Fannet.Backend.cv_verdict = Fannet.Backend.Unknown r; _ }, _ ->
-                    Error r
-                | cv -> Ok cv)
+        with_retries ~retries budget (fun budget ->
+            match certified ?budget () with
+            | { Fannet.Backend.cv_verdict = Fannet.Backend.Unknown r; _ }, _ ->
+                Error r
+            | cv -> Ok cv)
       in
       (match Fannet.Backend.check_certified p.qnet spec ~input ~label cv with
       | Ok () -> ()
@@ -870,8 +850,9 @@ let profile_cmd =
     let sinput = [| 112; 87 |] in
     let slabel = Nn.Qnet.predict qnet sinput in
     let _ : int option =
-      Fannet.Tolerance.input_min_flip_delta Fannet.Backend.Smt qnet
-        ~bias_noise:false ~max_delta:40 ~input:sinput ~label:slabel
+      Resil.Budget.ok_or_fail
+        (Fannet.Tolerance.input_min_flip_delta_b Fannet.Backend.Smt qnet
+           ~bias_noise:false ~max_delta:40 ~input:sinput ~label:slabel)
     in
     Printf.printf "workload: pipeline + tolerance (backend %s, %d inputs, tolerance +-%d%%) + incremental SMT probe\n\n"
       (Fannet.Backend.to_string backend) (Array.length inputs) tol;

@@ -131,6 +131,38 @@ let check_case ?(run : runner = fun b -> B.exists_flip b) ?(check_parallel = tru
                (N.to_string w))
       | B.Robust | B.Unknown _ -> ())
   | Verdict (B.Unknown _) -> ());
+  (* Undecided is never robust: where the enumerator finds a flip, the
+     sweep counts the input as flipped or undecided, never as robust. The
+     sweep takes symmetric relative ranges, so it runs on the widest one
+     inside the case's range (and only has teeth where that range flips). *)
+  (let delta = min (-spec.N.delta_lo) spec.N.delta_hi in
+   let bias_noise = spec.N.bias_noise in
+   let sym = N.symmetric ~delta ~bias_noise in
+   let truth =
+     if sym = spec then ground_truth
+     else B.exists_flip explicit net sym ~input ~label
+   in
+   match truth with
+   | B.Robust | B.Unknown _ -> ()
+   | B.Flip _ ->
+       List.iter
+         (fun backend ->
+           match
+             Fannet.Tolerance.misclassified_at_b ~jobs:1 backend net ~bias_noise
+               ~delta ~inputs:[| (input, label) |]
+           with
+           | exception e ->
+               fail "undecided-not-robust" backend (Printexc.to_string e)
+           | Error r ->
+               fail "undecided-not-robust" backend
+                 ("unbudgeted sweep stopped: " ^ Resil.Budget.reason_to_string r)
+           | Ok p ->
+               if p.n_misclassified + p.undecided < 1 then
+                 fail "undecided-not-robust" backend
+                   (Printf.sprintf
+                      "+-%d%%: counted robust, but the enumerator finds a flip"
+                      delta))
+         backends_under_test);
   (* Certificate validity: the certified SMT path must agree with the
      enumerator, produce a certificate, and that certificate must pass the
      independent lib/cert checker. Run sequentially (it is one more SMT

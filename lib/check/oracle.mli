@@ -12,6 +12,12 @@
       it proves [Robust] the enumerator confirms it;
     - {b cascade lattice}: whenever [Interval] decides, [Cascade b]
       decides identically ([Interval ⊑ Cascade b]);
+    - {b undecided is never robust}: for every backend, the
+      {!Fannet.Tolerance.misclassified_at_b} sweep point of the case's
+      input, at the widest symmetric range inside the case's range,
+      never counts the input as robust where the enumerator finds a
+      flip (flipped plus undecided covers every flip; it always runs the
+      real backends, never [?run]);
     - {b parallel determinism}: the backend verdict vector computed on a
       one-worker {!Util.Parallel} pool equals the multi-worker one
       (doubles the backend cost, so the {!Fuzz} driver samples it on a

@@ -15,12 +15,16 @@ let noise_free_margin net ~input ~label =
       Array.iteri (fun j v -> if j <> label && v > !best_other then best_other := v) out;
       out.(label) - !best_other
 
-let analyze ?jobs backend net ~bias_noise ~max_delta ~inputs =
-  Util.Parallel.mapi ?jobs
+let analyze_b ?jobs ?budget backend net ~bias_noise ~max_delta ~inputs =
+  Resil.Budget.map_batch ?jobs ?budget
     (fun input_index (input, label) ->
       let min_flip_delta =
-        Tolerance.input_min_flip_delta backend net ~bias_noise ~max_delta ~input
-          ~label
+        match
+          Tolerance.input_min_flip_delta_b ?budget backend net ~bias_noise
+            ~max_delta ~input ~label
+        with
+        | Ok d -> d
+        | Error r -> raise (Resil.Budget.Stopped r)
       in
       {
         input_index;
@@ -30,50 +34,9 @@ let analyze ?jobs backend net ~bias_noise ~max_delta ~inputs =
       })
     inputs
 
-let analyze_b ?jobs ?budget backend net ~bias_noise ~max_delta ~inputs =
-  let failed : Resil.Budget.reason option Atomic.t = Atomic.make None in
-  let note r = ignore (Atomic.compare_and_set failed None (Some r)) in
-  let stop () =
-    Atomic.get failed <> None
-    || (match budget with Some b -> Resil.Budget.check b <> None | None -> false)
-  in
-  let per_input =
-    Util.Parallel.map_until ?jobs ~stop
-      (fun input_index (input, label) ->
-        Resil.Faultpoint.guard "worker.raise"
-          (Failure "injected fault: boundary worker raised");
-        match
-          Tolerance.input_min_flip_delta_b ?budget backend net ~bias_noise
-            ~max_delta ~input ~label
-        with
-        | Error r ->
-            note r;
-            None
-        | Ok min_flip_delta ->
-            Some
-              {
-                input_index;
-                true_label = label;
-                min_flip_delta;
-                margin = noise_free_margin net ~input ~label;
-              })
-      inputs
-  in
-  let first_reason () =
-    match Atomic.get failed with
-    | Some r -> r
-    | None -> (
-        match Option.bind budget Resil.Budget.why with
-        | Some r -> r
-        | None -> Resil.Budget.Cancelled)
-  in
-  match per_input with
-  | Error () -> Error (first_reason ())
-  | Ok arr -> (
-      match Atomic.get failed with
-      | Some r -> Error r
-      | None ->
-          Ok (Array.map (function Some p -> p | None -> assert false) arr))
+let analyze ?jobs backend net ~bias_noise ~max_delta ~inputs =
+  Resil.Budget.ok_or_fail
+    (analyze_b ?jobs backend net ~bias_noise ~max_delta ~inputs)
 
 let near_boundary points ~threshold =
   Array.of_list

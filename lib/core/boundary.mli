@@ -16,15 +16,6 @@ type point = {
           class networks); larger means farther from the boundary *)
 }
 
-val analyze :
-  ?jobs:int ->
-  Backend.t ->
-  Nn.Qnet.t ->
-  bias_noise:bool ->
-  max_delta:int ->
-  inputs:Validate.labelled array ->
-  point array
-
 val analyze_b :
   ?jobs:int ->
   ?budget:Resil.Budget.t ->
@@ -34,9 +25,21 @@ val analyze_b :
   max_delta:int ->
   inputs:Validate.labelled array ->
   (point array, Resil.Budget.reason) result
-(** {!analyze} under a {!Resil.Budget}: the per-input binary searches stop
-    cooperatively on exhaustion and the call returns [Error] with the
-    first reason observed rather than a partial point set. *)
+(** One point per input, in input order, from
+    {!Tolerance.input_min_flip_delta_b}. The per-input binary searches
+    stop cooperatively on budget exhaustion or an undecided probe, and
+    the call returns [Error] with the first reason observed rather than
+    a partial point set. *)
+
+val analyze :
+  ?jobs:int ->
+  Backend.t ->
+  Nn.Qnet.t ->
+  bias_noise:bool ->
+  max_delta:int ->
+  inputs:Validate.labelled array ->
+  point array
+(** {!analyze_b}, [Failure] on a stop; kept because [perfbench/] calls it. *)
 
 val near_boundary : point array -> threshold:int -> point array
 (** Points flipping within ±threshold. *)

@@ -78,12 +78,6 @@ type formal_side = {
 let node_to_dim (spec : Noise.spec) node =
   if spec.Noise.bias_noise then node else node - 1
 
-(* A budget stop inside a one-sided query unwinds through the surrounding
-   [Array.exists] with this local exception; it never escapes the module
-   (the [_b] entry points catch it, the unbudgeted ones cannot trigger
-   it). *)
-exception Stopped of Resil.Budget.reason
-
 type engine = Bnb | Smt
 
 let side_exists ?(engine = Bnb) ?budget (spec : Noise.spec) ~inputs net node
@@ -108,14 +102,14 @@ let side_exists ?(engine = Bnb) ?budget (spec : Noise.spec) ~inputs net node
             match Bnb.exists_flip ~box ?budget net spec ~input ~label with
             | Bnb.Flip _ -> true
             | Bnb.Robust -> false
-            | Bnb.Unknown r -> raise (Stopped r))
+            | Bnb.Unknown r -> raise (Resil.Budget.Stopped r))
         | Smt -> (
             (* Bit-blasted one-sided query on a pooled warm session: all
                boxes about one (net, input, label) share one encoding,
                each box is a memoised assumption ({!Warm.probe_box}). *)
             match Warm.probe_box ?budget net spec ~box ~input ~label with
             | Ok flips -> flips
-            | Error r -> raise (Stopped r)))
+            | Error r -> raise (Resil.Budget.Stopped r)))
       inputs
 
 let sided_nodes (spec : Noise.spec) ~inputs =
@@ -124,66 +118,23 @@ let sided_nodes (spec : Noise.spec) ~inputs =
   if spec.Noise.bias_noise then Array.init (n_inputs + 1) Fun.id
   else Array.init n_inputs (fun i -> i + 1)
 
-let formal_sidedness ?jobs ?engine net (spec : Noise.spec) ~inputs =
+let formal_sidedness_b ?jobs ?engine ?budget net (spec : Noise.spec) ~inputs =
   let nodes = sided_nodes spec ~inputs in
   (* One worker per node; both one-sided queries stay on that worker (and,
      with the Smt engine, share that worker's warm sessions). *)
-  Util.Parallel.map ?jobs
-    (fun node ->
+  Resil.Budget.map_batch ?jobs ?budget
+    (fun _ node ->
       {
         fs_node = node;
-        positive_flip = side_exists ?engine spec ~inputs net node ~positive:true;
-        negative_flip = side_exists ?engine spec ~inputs net node ~positive:false;
+        positive_flip =
+          side_exists ?engine ?budget spec ~inputs net node ~positive:true;
+        negative_flip =
+          side_exists ?engine ?budget spec ~inputs net node ~positive:false;
       })
     nodes
 
-let formal_sidedness_b ?jobs ?engine ?budget net (spec : Noise.spec) ~inputs =
-  let nodes = sided_nodes spec ~inputs in
-  let failed : Resil.Budget.reason option Atomic.t = Atomic.make None in
-  let note r = ignore (Atomic.compare_and_set failed None (Some r)) in
-  let stop () =
-    Atomic.get failed <> None
-    || (match budget with Some b -> Resil.Budget.check b <> None | None -> false)
-  in
-  let per_node =
-    Util.Parallel.map_until ?jobs ~stop
-      (fun _ node ->
-        Resil.Faultpoint.guard "worker.raise"
-          (Failure "injected fault: sensitivity worker raised");
-        match
-          {
-            fs_node = node;
-            positive_flip =
-              side_exists ?engine ?budget spec ~inputs net node ~positive:true;
-            negative_flip =
-              side_exists ?engine ?budget spec ~inputs net node ~positive:false;
-          }
-        with
-        | fs -> Ok fs
-        | exception Stopped r ->
-            note r;
-            Error r)
-      nodes
-  in
-  let first_reason () =
-    match Atomic.get failed with
-    | Some r -> r
-    | None -> (
-        match Option.bind budget Resil.Budget.why with
-        | Some r -> r
-        | None -> Resil.Budget.Cancelled)
-  in
-  match per_node with
-  | Error () -> Error (first_reason ())
-  | Ok arr -> (
-      match
-        Array.fold_left
-          (fun acc r -> match (acc, r) with None, Error r -> Some r | _ -> acc)
-          None arr
-      with
-      | Some r -> Error r
-      | None ->
-          Ok (Array.map (function Ok fs -> fs | Error _ -> assert false) arr))
+let formal_sidedness ?jobs ?engine net spec ~inputs =
+  Resil.Budget.ok_or_fail (formal_sidedness_b ?jobs ?engine net spec ~inputs)
 
 let formal_side_to_side f =
   match (f.positive_flip, f.negative_flip) with

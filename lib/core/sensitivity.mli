@@ -44,22 +44,7 @@ type engine =
       (** bit-blasted queries on pooled {!Warm} sessions: all boxes about
           one (network, input, label) share one Tseitin encoding, each box
           is a memoised assumption — the per-node workers of
-          {!formal_sidedness} warm-start each other's queries *)
-
-val formal_sidedness :
-  ?jobs:int ->
-  ?engine:engine ->
-  Nn.Qnet.t ->
-  Noise.spec ->
-  inputs:Validate.labelled array ->
-  formal_side array
-(** Runs one {!Util.Parallel} worker per node ([?jobs] as in {!Tolerance}).
-    Exact one-sidedness per node, decided by formal queries rather than a
-    (possibly truncated) corpus: node [i] admits a positive-side flip iff
-    some input has a flipping vector whose [i]-component is >= +1 (other
-    nodes range freely). A node with [positive_flip = false] is the
-    paper's "extremely insensitive to positive noise" case (its i5).
-    Both engines are complete, so the answer is engine-independent. *)
+          {!formal_sidedness_b} warm-start each other's queries *)
 
 val formal_sidedness_b :
   ?jobs:int ->
@@ -69,11 +54,26 @@ val formal_sidedness_b :
   Noise.spec ->
   inputs:Validate.labelled array ->
   (formal_side array, Resil.Budget.reason) result
-(** {!formal_sidedness} under a budget: the per-node one-sided queries
-    propagate the budget into the branch-and-bound engine and the worker
-    pool stops cooperatively on exhaustion, returning [Error] with the
-    first reason observed instead of a partial (and therefore
-    misleading) sidedness table. *)
+(** Runs one {!Util.Parallel} worker per node ([?jobs] as in {!Tolerance}).
+    Exact one-sidedness per node, decided by formal queries rather than a
+    (possibly truncated) corpus: node [i] admits a positive-side flip iff
+    some input has a flipping vector whose [i]-component is >= +1 (other
+    nodes range freely). A node with [positive_flip = false] is the
+    paper's "extremely insensitive to positive noise" case (its i5).
+    Both engines are complete, so the answer is engine-independent. The
+    budget is propagated into every one-sided query and the worker pool
+    stops cooperatively on exhaustion, returning [Error] with the first
+    reason observed instead of a partial (and therefore misleading)
+    sidedness table. *)
+
+val formal_sidedness :
+  ?jobs:int ->
+  ?engine:engine ->
+  Nn.Qnet.t ->
+  Noise.spec ->
+  inputs:Validate.labelled array ->
+  formal_side array
+(** {!formal_sidedness_b}, [Failure] on a stop; [perfbench/] calls it. *)
 
 val formal_side_to_side : formal_side -> side
 

@@ -5,6 +5,7 @@ type flip = { input_index : int; vector : Noise.vector; predicted : int }
 type sweep_point = {
   delta : int;
   n_misclassified : int;
+  undecided : int;
   flips : flip list;
 }
 
@@ -19,83 +20,35 @@ let note_probe delta =
   Obs.Metrics.incr m_probes;
   Obs.Metrics.set_gauge g_last_delta (float_of_int delta)
 
-(* A budget stop inside a probe unwinds with this local exception; the
-   [_b] entry points catch it and the unbudgeted legacy paths cannot
-   trigger it. *)
-exception Stopped of Resil.Budget.reason
-
-(* The reason to report when a budgeted parallel batch stopped: a reason a
-   worker recorded wins, then whatever the budget itself observed, with
-   [Cancelled] as the only remaining possibility (an external token was
-   pulled between polls). *)
-let first_reason budget (failed : Resil.Budget.reason option Atomic.t) =
-  match Atomic.get failed with
-  | Some r -> r
-  | None -> (
-      match Option.bind budget Resil.Budget.why with
-      | Some r -> r
-      | None -> Resil.Budget.Cancelled)
-
-let budget_stop budget (failed : Resil.Budget.reason option Atomic.t) () =
-  Atomic.get failed <> None
-  || (match budget with Some b -> Resil.Budget.check b <> None | None -> false)
-
-(* Legacy (unbudgeted) entry points can still see a [Stopped] from below:
-   the solver converts a genuine or injected [Out_of_memory] into a typed
-   Unknown even when no budget was supplied. Surface it as a [Failure]
-   (the CLI's clean-error path) rather than leaking the local exception. *)
-let stopped_to_failure f =
-  try f ()
-  with Stopped r ->
-    failwith
-      (Printf.sprintf "Tolerance: analysis stopped (%s); rerun with a budget"
-         (Resil.Budget.reason_to_string r))
-
-let misclassified_at ?jobs backend net ~bias_noise ~delta ~inputs =
-  let spec = Noise.symmetric ~delta ~bias_noise in
-  Obs.Span.with_ (Printf.sprintf "tolerance.misclassified_at ±%d%%" delta) (fun () ->
-      note_probe delta;
-      Util.Parallel.filter_mapi ?jobs
-        (fun input_index (input, label) ->
-          match Backend.exists_flip backend net spec ~input ~label with
-          | Backend.Flip vector ->
-              let predicted = Noise.predict net spec ~input vector in
-              Some { input_index; vector; predicted }
-          | Backend.Robust | Backend.Unknown _ -> None)
-        inputs)
-
 let misclassified_at_b ?jobs ?budget backend net ~bias_noise ~delta ~inputs =
   let spec = Noise.symmetric ~delta ~bias_noise in
-  let failed : Resil.Budget.reason option Atomic.t = Atomic.make None in
-  let note r = ignore (Atomic.compare_and_set failed None (Some r)) in
   Obs.Span.with_ (Printf.sprintf "tolerance.misclassified_at ±%d%%" delta) (fun () ->
       note_probe delta;
-      match
-        Util.Parallel.filter_mapi_until ?jobs ~stop:(budget_stop budget failed)
-          (fun input_index (input, label) ->
-            Resil.Faultpoint.guard "worker.raise"
-              (Failure "injected fault: tolerance worker raised");
-            match Backend.exists_flip ?budget backend net spec ~input ~label with
-            | Backend.Flip vector ->
-                let predicted = Noise.predict net spec ~input vector in
-                Some { input_index; vector; predicted }
-            | Backend.Robust | Backend.Unknown Resil.Budget.Incomplete -> None
-            | Backend.Unknown r ->
-                note r;
-                None)
-          inputs
-      with
-      | Error () -> Error (first_reason budget failed)
-      | Ok flips -> (
-          match Atomic.get failed with Some r -> Error r | None -> Ok flips))
+      Resil.Budget.map_batch ?jobs ?budget
+        (fun input_index (input, label) ->
+          match Backend.exists_flip ?budget backend net spec ~input ~label with
+          | Backend.Flip vector ->
+              let predicted = Noise.predict net spec ~input vector in
+              `Flip { input_index; vector; predicted }
+          | Backend.Robust -> `Robust
+          | Backend.Unknown Resil.Budget.Incomplete -> `Undecided
+          | Backend.Unknown r -> raise (Resil.Budget.Stopped r))
+        inputs
+      |> Result.map (fun outcomes ->
+             let flips, undecided =
+               Array.fold_right
+                 (fun outcome (flips, undecided) ->
+                   match outcome with
+                   | `Flip f -> (f :: flips, undecided)
+                   | `Robust -> (flips, undecided)
+                   | `Undecided -> (flips, undecided + 1))
+                 outcomes ([], 0)
+             in
+             { delta; n_misclassified = List.length flips; undecided; flips }))
 
-let sweep ?jobs backend net ~bias_noise ~deltas ~inputs =
-  Obs.Span.with_ "tolerance.sweep" (fun () ->
-      List.map
-        (fun delta ->
-          let flips = misclassified_at ?jobs backend net ~bias_noise ~delta ~inputs in
-          { delta; n_misclassified = List.length flips; flips })
-        deltas)
+let misclassified_at ?jobs backend net ~bias_noise ~delta ~inputs =
+  (Resil.Budget.ok_or_fail
+     (misclassified_at_b ?jobs backend net ~bias_noise ~delta ~inputs)).flips
 
 let sweep_b ?jobs ?budget backend net ~bias_noise ~deltas ~inputs =
   Obs.Span.with_ "tolerance.sweep" (fun () ->
@@ -107,22 +60,22 @@ let sweep_b ?jobs ?budget backend net ~bias_noise ~deltas ~inputs =
                 ~inputs
             with
             | Error r -> Error r
-            | Ok flips ->
-                go
-                  ({ delta; n_misclassified = List.length flips; flips } :: acc)
-                  rest)
+            | Ok point -> go (point :: acc) rest)
       in
       go [] deltas)
 
+let sweep ?jobs backend net ~bias_noise ~deltas ~inputs =
+  Resil.Budget.ok_or_fail (sweep_b ?jobs backend net ~bias_noise ~deltas ~inputs)
+
+(* One probe of a binary search; an undecided probe stops the search, as
+   a guessed answer would bias the minimum either way. *)
 let flips_at ?budget backend net ~bias_noise ~delta ~input ~label =
   let spec = Noise.symmetric ~delta ~bias_noise in
   note_probe delta;
   match Backend.exists_flip ?budget backend net spec ~input ~label with
   | Backend.Flip _ -> true
   | Backend.Robust -> false
-  | Backend.Unknown Resil.Budget.Incomplete ->
-      failwith "Tolerance: backend cannot decide; use a complete backend"
-  | Backend.Unknown r -> raise (Stopped r)
+  | Backend.Unknown r -> raise (Resil.Budget.Stopped r)
 
 (* Shared monotone binary search: [flips lo = false], [flips hi = true];
    returns the smallest delta that flips. *)
@@ -153,7 +106,7 @@ let smt_min_flip_delta ?budget ~prefilter net ~bias_noise ~max_delta ~input
     | Error r ->
         (* Only a budget can interrupt this search (no conflict cap is
            passed), so an unknown is always a typed stop. *)
-        raise (Stopped r)
+        raise (Resil.Budget.Stopped r)
   in
   let flips delta =
     note_probe delta;
@@ -180,7 +133,8 @@ type certified_bracket = {
    assumption literals, but with a DRUP trace attached and a certificate
    snapshotted at every probe. No interval prefilter — a prefilter answer
    carries no proof, and the bracket must be certified at both ends. *)
-let certified_min_flip_impl ?budget net ~bias_noise ~max_delta ~input ~label =
+let certified_min_flip_delta_b ?budget net ~bias_noise ~max_delta ~input ~label =
+  Resil.Budget.catch @@ fun () ->
   if max_delta < 0 then invalid_arg "Tolerance: negative max_delta";
   let spec = Noise.symmetric ~delta:max_delta ~bias_noise in
   let enc = Encode.encode net ~input spec in
@@ -210,7 +164,7 @@ let certified_min_flip_impl ?budget net ~bias_noise ~max_delta ~input ~label =
         (fun () -> Smtlite.Solve.solve_certified ~assumptions ?budget session)
     in
     match outcome with
-    | Smtlite.Solve.Unknown r -> raise (Stopped r)
+    | Smtlite.Solve.Unknown r -> raise (Resil.Budget.Stopped r)
     | (Smtlite.Solve.Unsat | Smtlite.Solve.Sat _) as outcome -> (
         let cert =
           match cert with
@@ -272,15 +226,6 @@ let certified_min_flip_impl ?budget net ~bias_noise ~max_delta ~input ~label =
             in
             go (0, c0) (max_delta, v, cert))
 
-let certified_min_flip_delta net ~bias_noise ~max_delta ~input ~label =
-  stopped_to_failure (fun () ->
-      certified_min_flip_impl net ~bias_noise ~max_delta ~input ~label)
-
-let certified_min_flip_delta_b ?budget net ~bias_noise ~max_delta ~input ~label =
-  match certified_min_flip_impl ?budget net ~bias_noise ~max_delta ~input ~label with
-  | bracket -> Ok bracket
-  | exception Stopped r -> Error r
-
 let check_certified_bracket net ~bias_noise bracket ~input ~label =
   let check_refutation (delta, cert) =
     ignore delta;
@@ -325,8 +270,7 @@ let check_certified_bracket net ~bias_noise bracket ~input ~label =
         check_refutation rc
   | _ -> Error "bracket shape is inconsistent"
 
-let input_min_flip_impl ?budget backend net ~bias_noise ~max_delta ~input
-    ~label =
+let input_min_flip ?budget backend net ~bias_noise ~max_delta ~input ~label =
   if max_delta < 0 then invalid_arg "Tolerance: negative max_delta";
   match backend with
   | Backend.Smt ->
@@ -348,15 +292,10 @@ let input_min_flip_impl ?budget backend net ~bias_noise ~max_delta ~input
            range (delta 0 never flips a correctly classified input). *)
         Some (bisect flips 0 max_delta)
 
-let input_min_flip_delta backend net ~bias_noise ~max_delta ~input ~label =
-  stopped_to_failure (fun () ->
-      input_min_flip_impl backend net ~bias_noise ~max_delta ~input ~label)
-
 let input_min_flip_delta_b ?budget backend net ~bias_noise ~max_delta ~input
     ~label =
-  match input_min_flip_impl ?budget backend net ~bias_noise ~max_delta ~input ~label with
-  | v -> Ok v
-  | exception Stopped r -> Error r
+  Resil.Budget.catch (fun () ->
+      input_min_flip ?budget backend net ~bias_noise ~max_delta ~input ~label)
 
 let certified_accuracy ?jobs backend net ~bias_noise ~delta ~inputs =
   if Array.length inputs = 0 then invalid_arg "Tolerance.certified_accuracy: empty";
@@ -376,7 +315,6 @@ let certified_accuracy ?jobs backend net ~bias_noise ~delta ~inputs =
 
 let paper_iterative_tolerance ?jobs backend net ~bias_noise ~max_delta ~inputs =
   if max_delta < 0 then invalid_arg "Tolerance: negative max_delta";
-  stopped_to_failure @@ fun () ->
   let any_flip delta =
     Util.Parallel.exists ?jobs
       (fun (input, label) -> flips_at backend net ~bias_noise ~delta ~input ~label)
@@ -387,50 +325,26 @@ let paper_iterative_tolerance ?jobs backend net ~bias_noise ~max_delta ~inputs =
     else if any_flip delta then reduce (delta - 1)
     else delta
   in
-  reduce max_delta
+  Resil.Budget.(ok_or_fail (catch (fun () -> reduce max_delta)))
 
-let network_tolerance ?jobs backend net ~bias_noise ~max_delta ~inputs =
-  stopped_to_failure @@ fun () ->
-  Obs.Span.with_ "tolerance.network_tolerance" (fun () ->
-      Util.Parallel.map ?jobs
-        (fun (input, label) ->
-          input_min_flip_delta backend net ~bias_noise ~max_delta ~input ~label)
-        inputs
-      |> Array.fold_left
-           (fun acc -> function None -> acc | Some d -> min acc (d - 1))
-           max_delta)
+(* The network tolerance from the per-input minimal flipping deltas. *)
+let tolerance_of ~max_delta per_input =
+  Array.fold_left
+    (fun acc -> function None -> acc | Some d -> min acc (d - 1))
+    max_delta per_input
 
 let network_tolerance_b ?jobs ?budget backend net ~bias_noise ~max_delta
     ~inputs =
   Obs.Span.with_ "tolerance.network_tolerance" (fun () ->
-      let failed : Resil.Budget.reason option Atomic.t = Atomic.make None in
-      let note r = ignore (Atomic.compare_and_set failed None (Some r)) in
-      match
-        Util.Parallel.map_until ?jobs ~stop:(budget_stop budget failed)
-          (fun _ (input, label) ->
-            Resil.Faultpoint.guard "worker.raise"
-              (Failure "injected fault: tolerance worker raised");
-            match
-              input_min_flip_impl ?budget backend net ~bias_noise ~max_delta
-                ~input ~label
-            with
-            | v -> Some v
-            | exception Stopped r ->
-                note r;
-                None)
-          inputs
-      with
-      | Error () -> Error (first_reason budget failed)
-      | Ok per_input -> (
-          match Atomic.get failed with
-          | Some r -> Error r
-          | None ->
-              Ok
-                (Array.fold_left
-                   (fun acc -> function
-                     | Some (Some d) -> min acc (d - 1)
-                     | Some None | None -> acc)
-                   max_delta per_input)))
+      Resil.Budget.map_batch ?jobs ?budget
+        (fun _ (input, label) ->
+          input_min_flip ?budget backend net ~bias_noise ~max_delta ~input ~label)
+        inputs
+      |> Result.map (tolerance_of ~max_delta))
+
+let network_tolerance ?jobs backend net ~bias_noise ~max_delta ~inputs =
+  Resil.Budget.ok_or_fail
+    (network_tolerance_b ?jobs backend net ~bias_noise ~max_delta ~inputs)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointed network tolerance (format fannet-ckpt/1, kind          *)
@@ -532,18 +446,15 @@ let network_tolerance_ckpt ?budget ~checkpoint backend net ~bias_noise
     Resil.Ckpt.save ~kind:"tolerance" ~path:checkpoint
       (tol_ckpt_to_json ~key (List.rev !done_rev) !cur)
   in
-  let exception Out of Resil.Budget.reason in
   let probe ~input ~label delta =
-    (match Option.bind budget Resil.Budget.check with
-    | Some r ->
-        save ();
-        raise (Out r)
-    | None -> ());
-    match flips_at ?budget backend net ~bias_noise ~delta ~input ~label with
-    | b -> b
-    | exception Stopped r ->
-        save ();
-        raise (Out r)
+    try
+      Option.iter
+        (fun r -> raise (Resil.Budget.Stopped r))
+        (Option.bind budget Resil.Budget.check);
+      flips_at ?budget backend net ~bias_noise ~delta ~input ~label
+    with Resil.Budget.Stopped _ as stop ->
+      save ();
+      raise stop
   in
   let push r =
     done_rev := r :: !done_rev;
@@ -551,33 +462,27 @@ let network_tolerance_ckpt ?budget ~checkpoint backend net ~bias_noise
     incr i;
     save ()
   in
-  match
-    Obs.Span.with_ "tolerance.network_tolerance" (fun () ->
-        while !i < Array.length inputs do
-          let input, label = inputs.(!i) in
-          match !cur with
-          | Start ->
-              if not (probe ~input ~label max_delta) then push None
-              else if probe ~input ~label 0 then push (Some 0)
-              else begin
-                cur := Bracket (0, max_delta);
-                save ()
-              end
-          | Bracket (lo, hi) ->
-              if hi - lo <= 1 then push (Some hi)
-              else begin
-                let mid = (lo + hi) / 2 in
-                cur :=
-                  (if probe ~input ~label mid then Bracket (lo, mid)
-                   else Bracket (mid, hi));
-                save ()
-              end
-        done)
-  with
-  | () ->
-      if Sys.file_exists checkpoint then Sys.remove checkpoint;
-      Ok
-        (List.fold_left
-           (fun acc -> function None -> acc | Some d -> min acc (d - 1))
-           max_delta (List.rev !done_rev))
-  | exception Out r -> Error r
+  Resil.Budget.catch @@ fun () ->
+  Obs.Span.with_ "tolerance.network_tolerance" (fun () ->
+      while !i < Array.length inputs do
+        let input, label = inputs.(!i) in
+        match !cur with
+        | Start ->
+            if not (probe ~input ~label max_delta) then push None
+            else if probe ~input ~label 0 then push (Some 0)
+            else begin
+              cur := Bracket (0, max_delta);
+              save ()
+            end
+        | Bracket (lo, hi) ->
+            if hi - lo <= 1 then push (Some hi)
+            else begin
+              let mid = (lo + hi) / 2 in
+              cur :=
+                (if probe ~input ~label mid then Bracket (lo, mid)
+                 else Bracket (mid, hi));
+              save ()
+            end
+      done);
+  if Sys.file_exists checkpoint then Sys.remove checkpoint;
+  tolerance_of ~max_delta (Array.of_list !done_rev)

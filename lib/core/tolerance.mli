@@ -14,21 +14,19 @@ type flip = { input_index : int; vector : Noise.vector; predicted : int }
 type sweep_point = {
   delta : int;
   n_misclassified : int;    (** inputs with at least one flipping vector *)
+  undecided : int;
+      (** inputs the backend could not decide ([Unknown Incomplete], e.g.
+          the [Interval] backend on an input it cannot prove robust):
+          neither flipped nor robust *)
   flips : flip list;        (** one witness per flipped input *)
 }
 
-val misclassified_at :
-  ?jobs:int ->
-  Backend.t ->
-  Nn.Qnet.t ->
-  bias_noise:bool ->
-  delta:int ->
-  inputs:Validate.labelled array ->
-  flip list
-(** One witness per input that some vector in ±delta flips. With the
-    [Interval] backend, inputs that cannot be proven robust are *not*
-    reported as flips (it has no witnesses) — use a complete backend for
-    counting. *)
+(** Every analysis below has one implementation, typed by its stop
+    reason ([_b]: [?budget] in, [(result, Resil.Budget.reason) result]
+    out). The few unbudgeted names left are one-line
+    {!Resil.Budget.ok_or_fail} projections of it, kept because the
+    repository benchmark ([perfbench/]) calls them: they raise [Failure]
+    where the [_b] form returns [Error]. *)
 
 val misclassified_at_b :
   ?jobs:int ->
@@ -38,23 +36,22 @@ val misclassified_at_b :
   bias_noise:bool ->
   delta:int ->
   inputs:Validate.labelled array ->
-  (flip list, Resil.Budget.reason) result
-(** {!misclassified_at} under a {!Resil.Budget}: the budget is propagated
-    into every backend query and the worker pool stops cooperatively on
-    exhaustion, returning [Error] with the first reason observed. A
-    backend's own incompleteness ([Unknown Incomplete]) still counts as
-    "no witness", exactly as in the unbudgeted variant. *)
+  (sweep_point, Resil.Budget.reason) result
+(** One witness per input that some vector in ±delta flips, and the
+    count of inputs the backend could not decide (never counted robust).
+    The budget is propagated into every backend query and the worker
+    pool stops cooperatively on exhaustion, returning [Error] with the
+    first reason observed. *)
 
-val sweep :
+val misclassified_at :
   ?jobs:int ->
   Backend.t ->
   Nn.Qnet.t ->
   bias_noise:bool ->
-  deltas:int list ->
+  delta:int ->
   inputs:Validate.labelled array ->
-  sweep_point list
-(** Misclassification counts per noise range — the data behind the paper's
-    Fig. 4 scatter (ranges ±5 ... ±40). *)
+  flip list
+(** {!misclassified_at_b}'s [flips], [Failure] on a stop; [perfbench/] calls it. *)
 
 val sweep_b :
   ?jobs:int ->
@@ -65,23 +62,20 @@ val sweep_b :
   deltas:int list ->
   inputs:Validate.labelled array ->
   (sweep_point list, Resil.Budget.reason) result
-(** {!sweep} under a budget shared across all deltas; [Error] as soon as
-    one delta's batch exhausts it. *)
+(** Misclassification counts per noise range — the data behind the
+    paper's Fig. 4 scatter (ranges ±5 ... ±40) — under a budget shared
+    across all deltas; [Error] as soon as one delta's batch exhausts
+    it. *)
 
-val network_tolerance :
+val sweep :
   ?jobs:int ->
   Backend.t ->
   Nn.Qnet.t ->
   bias_noise:bool ->
-  max_delta:int ->
+  deltas:int list ->
   inputs:Validate.labelled array ->
-  int
-(** Largest Δ in [0, max_delta] with zero flips across all inputs.
-    Computed as [min over inputs of (min flipping Δ) - 1] using binary
-    search per input (sound because flip-ability is monotone in Δ), which
-    matches the paper's iterative reduce-the-noise procedure but with
-    logarithmically many solver queries. Returns [max_delta] when even the
-    full range is safe. *)
+  sweep_point list
+(** {!sweep_b}, [Failure] on a stop; kept because [perfbench/] calls it. *)
 
 val network_tolerance_b :
   ?jobs:int ->
@@ -92,9 +86,25 @@ val network_tolerance_b :
   max_delta:int ->
   inputs:Validate.labelled array ->
   (int, Resil.Budget.reason) result
-(** {!network_tolerance} under a budget: exhaustion anywhere in the
-    per-input binary searches stops the whole pool and yields [Error]
-    (a partial minimum would silently overstate the tolerance). *)
+(** Largest Δ in [0, max_delta] with zero flips across all inputs.
+    Computed as [min over inputs of (min flipping Δ) - 1] using binary
+    search per input (sound because flip-ability is monotone in Δ), which
+    matches the paper's iterative reduce-the-noise procedure but with
+    logarithmically many solver queries. Returns [max_delta] when even
+    the full range is safe. Exhaustion anywhere in the per-input binary
+    searches, or a probe the backend cannot decide ([Incomplete]), stops
+    the whole pool and yields [Error] (a partial minimum would silently
+    overstate the tolerance). *)
+
+val network_tolerance :
+  ?jobs:int ->
+  Backend.t ->
+  Nn.Qnet.t ->
+  bias_noise:bool ->
+  max_delta:int ->
+  inputs:Validate.labelled array ->
+  int
+(** {!network_tolerance_b}, [Failure] on a stop; [perfbench/] calls it. *)
 
 val network_tolerance_ckpt :
   ?budget:Resil.Budget.t ->
@@ -105,7 +115,7 @@ val network_tolerance_ckpt :
   max_delta:int ->
   inputs:Validate.labelled array ->
   (int, Resil.Budget.reason) result
-(** {!network_tolerance} with checkpoint/resume: the per-input results and
+(** {!network_tolerance_b} with checkpoint/resume: the per-input results and
     the in-flight bisection bracket are persisted to [checkpoint] in
     [fannet-ckpt/1] format (kind ["tolerance"], atomic tmp+rename) after
     every probe, and an existing checkpoint for the same run (backend,
@@ -140,8 +150,9 @@ val paper_iterative_tolerance :
 (** The literal procedure of the paper's Fig. 2: start from the large
     range ±max_delta and reduce the noise one percent at a time until the
     model checker finds no counterexample for any input. Same result as
-    {!network_tolerance} (asserted by tests) with linearly many queries —
-    kept for methodological fidelity. *)
+    {!network_tolerance_b} (asserted by tests) with linearly many queries —
+    kept for methodological fidelity. Raises [Failure] when a probe cannot
+    be decided. *)
 
 type certified_bracket = {
   max_delta : int;  (** the search range the bracket covers *)
@@ -156,22 +167,6 @@ type certified_bracket = {
           flips; [None] only when Δ=0 already flips *)
 }
 
-val certified_min_flip_delta :
-  Nn.Qnet.t ->
-  bias_noise:bool ->
-  max_delta:int ->
-  input:int array ->
-  label:int ->
-  certified_bracket
-(** {!input_min_flip_delta} with the incremental [Smt] search and DRUP
-    proof logging: the answer comes back as a {e certified tolerance
-    bracket} — a refutation certificate proving robustness at
-    [min_flip_delta - 1] and a model certificate plus concrete witness
-    proving the flip at [min_flip_delta]. The bracket composes the
-    per-delta certificates of the binary-search probes; each can be
-    re-checked independently of the solver. No interval prefilter is used
-    (its answers carry no proofs). *)
-
 val certified_min_flip_delta_b :
   ?budget:Resil.Budget.t ->
   Nn.Qnet.t ->
@@ -180,8 +175,15 @@ val certified_min_flip_delta_b :
   input:int array ->
   label:int ->
   (certified_bracket, Resil.Budget.reason) result
-(** {!certified_min_flip_delta} under a budget ([Error] when a probe was
-    stopped before the bracket closed). *)
+(** {!input_min_flip_delta_b} with the incremental [Smt] search and DRUP
+    proof logging: the answer comes back as a {e certified tolerance
+    bracket} — a refutation certificate proving robustness at
+    [min_flip_delta - 1] and a model certificate plus concrete witness
+    proving the flip at [min_flip_delta]. The bracket composes the
+    per-delta certificates of the binary-search probes; each can be
+    re-checked independently of the solver. No interval prefilter is used
+    (its answers carry no proofs). [Error] when a probe was stopped
+    before the bracket closed. *)
 
 val check_certified_bracket :
   Nn.Qnet.t ->
@@ -196,25 +198,6 @@ val check_certified_bracket :
     {!Cert.Verdict.check}, and the flip witness concretely misclassifies
     under {!Noise.predict} within its probe range. *)
 
-val input_min_flip_delta :
-  Backend.t ->
-  Nn.Qnet.t ->
-  bias_noise:bool ->
-  max_delta:int ->
-  input:int array ->
-  label:int ->
-  int option
-(** Smallest Δ whose range ±Δ contains a flipping vector for this input,
-    or [None] if robust up to ±max_delta.
-
-    With the [Smt] backend (or [Cascade Smt]) the binary search is
-    incremental: the network is bit-blasted once at ±max_delta and each
-    probe narrows the noise bound through assumable range literals over
-    one warm solver session, so learnt clauses carry across probes and no
-    probe pays a fresh Tseitin encoding. [Cascade Smt] additionally runs
-    the interval prefilter per probe. Verdicts are identical to the
-    per-probe re-encoding at every delta. *)
-
 val input_min_flip_delta_b :
   ?budget:Resil.Budget.t ->
   Backend.t ->
@@ -224,5 +207,15 @@ val input_min_flip_delta_b :
   input:int array ->
   label:int ->
   (int option, Resil.Budget.reason) result
-(** {!input_min_flip_delta} under a budget ([Error] when a probe was
-    stopped before the binary search converged). *)
+(** Smallest Δ whose range ±Δ contains a flipping vector for this input,
+    or [None] if robust up to ±max_delta; [Error] when a probe was
+    stopped (budget, or a backend that cannot decide) before the binary
+    search converged.
+
+    With the [Smt] backend (or [Cascade Smt]) the binary search is
+    incremental: the network is bit-blasted once at ±max_delta and each
+    probe narrows the noise bound through assumable range literals over
+    one warm solver session, so learnt clauses carry across probes and no
+    probe pays a fresh Tseitin encoding. [Cascade Smt] additionally runs
+    the interval prefilter per probe. Verdicts are identical to the
+    per-probe re-encoding at every delta. *)

@@ -111,3 +111,34 @@ let scale ~by b =
     ?timeout_s:(Option.map (fun s -> s *. float_of_int by) b.timeout_s)
     ?conflicts:(Option.map (fun c -> c * by) b.conflicts)
     ?max_mem_mb:b.max_mem_mb ~token:b.tok ()
+
+exception Stopped of reason
+
+let catch f = try Ok (f ()) with Stopped r -> Error r
+
+let ok_or_fail = function
+  | Ok v -> v
+  | Error r -> failwith ("analysis stopped (" ^ reason_to_string r ^ ")")
+
+(* The first reason a worker raised wins; a batch that stopped without one
+   stopped on the budget itself, which recorded its reason. *)
+let map_batch ?jobs ?budget f items =
+  let failed = Atomic.make None in
+  let stop () =
+    Atomic.get failed <> None
+    || match budget with Some b -> check b <> None | None -> false
+  in
+  let item i x =
+    Faultpoint.guard "worker.raise"
+      (Failure "injected fault: analysis worker raised");
+    match f i x with
+    | y -> Some y
+    | exception Stopped r ->
+        ignore (Atomic.compare_and_set failed None (Some r));
+        None
+  in
+  match (Util.Parallel.map_until ?jobs ~stop item items, Atomic.get failed) with
+  | _, Some r -> Error r
+  | Ok out, None -> Ok (Array.map Option.get out)
+  | Error (), None ->
+      Error (Option.value (Option.bind budget why) ~default:Cancelled)

@@ -109,3 +109,30 @@ val scale : by:int -> t -> t
     [by] (deadline restarted from now), same memory watermark, {e same}
     cancellation token (cancelling the original still stops retries),
     cleared reason. *)
+
+(** {1 Budgeted analyses}
+
+    Every analysis has one implementation, typed by its stop reason:
+    [(result, reason) result]. Deep inside a query the reason unwinds as
+    {!Stopped}; {!catch} and {!map_batch} turn it back into [Error]. *)
+
+exception Stopped of reason
+(** Raised by analysis code that cannot finish: a budget cap, a
+    cancellation, or a backend that cannot decide ([Incomplete]). *)
+
+val catch : (unit -> 'a) -> ('a, reason) result
+(** [Ok (f ())], or [Error r] when [f] raised [Stopped r]. *)
+
+val ok_or_fail : ('a, reason) result -> 'a
+(** The value, or [Failure "analysis stopped (<reason>)"] — the one
+    projection the unbudgeted convenience names use. *)
+
+val map_batch :
+  ?jobs:int -> ?budget:t -> (int -> 'a -> 'b) -> 'a array ->
+  ('b array, reason) result
+(** [f] on every item over {!Util.Parallel.map_until} ([?jobs] as
+    there), results in input order. An item that raises [Stopped r]
+    stops the whole batch, as does the budget running out between items;
+    the result is then [Error] with the first reason observed, never a
+    partial array. Any other exception propagates as in
+    {!Util.Parallel}. Each item is a ["worker.raise"] fault site. *)

@@ -313,10 +313,10 @@ let filter_mapi ?jobs f arr = somes (mapi ?jobs f arr)
 
 let filter_map ?jobs f arr = filter_mapi ?jobs (fun _ x -> f x) arr
 
-(* Until-variants: poll [stop] before each element; once any worker
-   observes [stop] the whole batch drains and returns [Error ()] — a
-   sentinel, not an exception, so a genuine worker exception is never
-   masked by a concurrent stop (the batch re-raises it first). *)
+(* Poll [stop] before each element; once any worker observes [stop] the
+   whole batch drains and returns [Error ()] — a sentinel, not an
+   exception, so a genuine worker exception is never masked by a
+   concurrent stop (the batch re-raises it first). *)
 
 let map_until ?jobs ~stop f arr =
   let len = Array.length arr in
@@ -337,9 +337,6 @@ let map_until ?jobs ~stop f arr =
     end
   in
   if completed then Ok (extract out) else Error ()
-
-let filter_mapi_until ?jobs ~stop f arr =
-  Result.map somes (map_until ?jobs ~stop f arr)
 
 let exists ?jobs p arr =
   let len = Array.length arr in

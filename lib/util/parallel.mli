@@ -60,8 +60,8 @@ val exists : ?jobs:int -> ('a -> bool) -> 'a array -> bool
 
 (** {1 Cooperative early stop}
 
-    The [_until] variants poll [stop] (which must be thread-safe — an
-    atomic flag or a {e budget} check) before every element. Once any
+    {!map_until} polls [stop] (which must be thread-safe — an atomic
+    flag or a {e budget} check) before every element. Once any
     worker observes [stop] the whole batch drains, the call returns
     [Error ()] and all per-element results are discarded, so [Ok]
     results remain deterministic and independent of [jobs]. Abandonment
@@ -72,11 +72,6 @@ val exists : ?jobs:int -> ('a -> bool) -> 'a array -> bool
 val map_until :
   ?jobs:int -> stop:(unit -> bool) -> (int -> 'a -> 'b) -> 'a array ->
   ('b array, unit) result
-
-val filter_mapi_until :
-  ?jobs:int -> stop:(unit -> bool) -> (int -> 'a -> 'b option) -> 'a array ->
-  ('b list, unit) result
-(** [Some]-results in input order when no worker stopped. *)
 
 (** {1 Failure semantics}
 

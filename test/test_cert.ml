@@ -423,14 +423,16 @@ let test_tolerance_certified_bracket () =
   let label = Nn.Qnet.predict net input in
   let max_delta = 40 in
   let b =
-    Fannet.Tolerance.certified_min_flip_delta net ~bias_noise:false ~max_delta
-      ~input ~label
+    Resil.Budget.ok_or_fail
+      (Fannet.Tolerance.certified_min_flip_delta_b net ~bias_noise:false ~max_delta
+         ~input ~label)
   in
   check_ok "bracket"
     (Fannet.Tolerance.check_certified_bracket net ~bias_noise:false b ~input ~label);
   let reference =
-    Fannet.Tolerance.input_min_flip_delta Fannet.Backend.Bnb net ~bias_noise:false
-      ~max_delta ~input ~label
+    Resil.Budget.ok_or_fail
+      (Fannet.Tolerance.input_min_flip_delta_b Fannet.Backend.Bnb net ~bias_noise:false
+         ~max_delta ~input ~label)
   in
   Alcotest.(check bool) "agrees with bnb" true
     (b.Fannet.Tolerance.min_flip_delta = reference);

@@ -411,8 +411,9 @@ let prop_incremental_smt_min_flip =
       let label = Nn.Qnet.predict net input in
       let max_delta = 5 in
       let at backend =
-        Fannet.Tolerance.input_min_flip_delta backend net ~bias_noise:false
-          ~max_delta ~input ~label
+        Resil.Budget.ok_or_fail
+          (Fannet.Tolerance.input_min_flip_delta_b backend net ~bias_noise:false
+             ~max_delta ~input ~label)
       in
       let reference = at B.Bnb in
       at B.Smt = reference && at (B.Cascade B.Smt) = reference)
@@ -617,8 +618,9 @@ let prop_min_flip_delta_is_threshold =
              (N.symmetric ~delta ~bias_noise:false) ~input ~label)
       in
       match
-        Fannet.Tolerance.input_min_flip_delta B.Bnb net ~bias_noise:false
-          ~max_delta ~input ~label
+        Resil.Budget.ok_or_fail
+          (Fannet.Tolerance.input_min_flip_delta_b B.Bnb net ~bias_noise:false
+             ~max_delta ~input ~label)
       with
       | None -> not (explicit_flips max_delta)
       | Some d -> explicit_flips d && (d = 0 || not (explicit_flips (d - 1))))
@@ -1140,15 +1142,17 @@ let test_warm_pool_reuse () =
   Fannet.Warm.reset ();
   let m0 = Fannet.Warm.misses () in
   let r1 =
-    Fannet.Tolerance.input_min_flip_delta B.Smt net ~bias_noise:false
-      ~max_delta:6 ~input ~label
+    Resil.Budget.ok_or_fail
+      (Fannet.Tolerance.input_min_flip_delta_b B.Smt net ~bias_noise:false
+         ~max_delta:6 ~input ~label)
   in
   Alcotest.(check int) "first search encodes exactly once" 1
     (Fannet.Warm.misses () - m0);
   let h0 = Fannet.Warm.hits () in
   let r2 =
-    Fannet.Tolerance.input_min_flip_delta B.Smt net ~bias_noise:false
-      ~max_delta:6 ~input ~label
+    Resil.Budget.ok_or_fail
+      (Fannet.Tolerance.input_min_flip_delta_b B.Smt net ~bias_noise:false
+         ~max_delta:6 ~input ~label)
   in
   Alcotest.(check int) "repeat search encodes nothing" 1
     (Fannet.Warm.misses () - m0);

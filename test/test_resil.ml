@@ -394,6 +394,63 @@ let test_worker_raise_is_clean () =
       | Ok _ -> ()
       | Error r -> Alcotest.fail ("pool broken after fault: " ^ R.reason_to_string r))
 
+let test_sweep_oom_is_typed () =
+  (* The unbudgeted projection and the budgeted path are one
+     implementation: an injected solver OOM stops both, typed in [_b] and
+     as a Failure in the plain name, never all-zero counts. *)
+  with_clean_faults (fun () ->
+      let net = tiny_qnet () in
+      let inputs = analysis_inputs net in
+      let deltas = [ 3; 10 ] in
+      F.arm "sat.oom";
+      (match Fannet.Tolerance.sweep B.Smt net ~bias_noise:false ~deltas ~inputs with
+      | exception Failure msg ->
+          Alcotest.(check bool) "names the reason" true (contains msg "memory")
+      | _ -> Alcotest.fail "plain sweep reported counts under an OOM");
+      match Fannet.Tolerance.sweep_b B.Smt net ~bias_noise:false ~deltas ~inputs with
+      | Error R.Memory -> ()
+      | Error r -> Alcotest.fail ("wrong reason: " ^ R.reason_to_string r)
+      | Ok _ -> Alcotest.fail "sweep_b reported counts under an OOM")
+
+let test_sweep_undecided_counted () =
+  with_clean_faults (fun () ->
+      let net = tiny_qnet () in
+      let inputs = analysis_inputs net in
+      F.arm "backend.unknown";
+      match
+        Fannet.Tolerance.sweep_b B.Bnb net ~bias_noise:false ~deltas:[ 3; 10; 40 ]
+          ~inputs
+      with
+      | Error r -> Alcotest.fail ("sweep stopped: " ^ R.reason_to_string r)
+      | Ok points ->
+          List.iter
+            (fun (p : Fannet.Tolerance.sweep_point) ->
+              Alcotest.(check int) "no flips" 0 p.n_misclassified;
+              Alcotest.(check int) "every input undecided" (Array.length inputs)
+                p.undecided)
+            points)
+
+let test_undecided_search_is_typed () =
+  (* At +-40 the interval backend cannot decide [7; 11] (a flip exists),
+     so every binary search over that range stops with [Incomplete]. *)
+  let net = tiny_qnet () in
+  let inputs = analysis_inputs net in
+  let input, label = inputs.(0) in
+  let incomplete what = function
+    | Error R.Incomplete -> ()
+    | Error r -> Alcotest.fail (what ^ ": wrong reason " ^ R.reason_to_string r)
+    | Ok _ -> Alcotest.fail (what ^ ": decided with the interval backend")
+  in
+  incomplete "input_min_flip_delta_b"
+    (Fannet.Tolerance.input_min_flip_delta_b B.Interval net ~bias_noise:false
+       ~max_delta:40 ~input ~label);
+  incomplete "network_tolerance_b"
+    (Fannet.Tolerance.network_tolerance_b B.Interval net ~bias_noise:false
+       ~max_delta:40 ~inputs);
+  incomplete "analyze_b"
+    (Fannet.Boundary.analyze_b B.Interval net ~bias_noise:false ~max_delta:40
+       ~inputs)
+
 let test_boundary_b_matches_legacy () =
   let net = tiny_qnet () in
   let inputs = analysis_inputs net in
@@ -700,6 +757,12 @@ let () =
           Alcotest.test_case "tolerance_b cancelled" `Quick test_tolerance_b_cancelled;
           Alcotest.test_case "worker.raise is clean" `Quick test_worker_raise_is_clean;
           Alcotest.test_case "boundary_b = legacy" `Quick test_boundary_b_matches_legacy;
+          Alcotest.test_case "sat.oom: sweep and sweep_b typed" `Quick
+            test_sweep_oom_is_typed;
+          Alcotest.test_case "backend.unknown: sweep counts undecided" `Quick
+            test_sweep_undecided_counted;
+          Alcotest.test_case "interval: searches stop incomplete" `Quick
+            test_undecided_search_is_typed;
         ] );
       ( "resume",
         [

@@ -796,6 +796,42 @@ let test_daemon_budget_answers_not_cached () =
   (* Budget-dependent Unknown must never be served from the cache. *)
   Alcotest.(check bool) "second not cached either" false (once ())
 
+let test_daemon_interval_tolerance_typed () =
+  (* The interval backend proves robustness but never finds a witness, so
+     a tolerance search over a range that flips the input cannot
+     converge: the daemon answers the typed Min_flip (Error incomplete),
+     never a Server_error, and never caches it. *)
+  with_daemon @@ fun d ->
+  with_client d @@ fun c ->
+  let net = tiny_qnet () in
+  let digest = ok (C.load c net) in
+  let input = [| 7; 11 |] in
+  let q =
+    P.Tolerance
+      {
+        backend = B.Interval;
+        bias_noise = false;
+        max_delta = 40;
+        input;
+        label = Nn.Qnet.predict net input;
+      }
+  in
+  let once () =
+    match ok (C.query c ~digest q) with
+    | P.Answer { cached; answer = P.Min_flip (Error Resil.Budget.Incomplete) } ->
+        cached
+    | r ->
+        Alcotest.failf "wanted Min_flip (Error incomplete), got %s"
+          (P.encode_reply { rid = 0; reply = r })
+  in
+  Alcotest.(check bool) "first not cached" false (once ());
+  Alcotest.(check bool) "second not cached either" false (once ());
+  let s = D.stats d in
+  Alcotest.(check int) "both served" 2 s.P.served;
+  Alcotest.(check int) "none failed" 0 s.P.failed;
+  Alcotest.(check int) "accounting identity" s.P.submitted
+    (s.P.served + s.P.rejected + s.P.failed)
+
 (* ================================================================== *)
 (* Differential: daemon answers = direct library calls                 *)
 (* ================================================================== *)
@@ -1587,6 +1623,8 @@ let () =
             test_daemon_unsupported_shape_typed_error;
           Alcotest.test_case "budget answers not cached" `Quick
             test_daemon_budget_answers_not_cached;
+          Alcotest.test_case "interval tolerance: typed incomplete" `Quick
+            test_daemon_interval_tolerance_typed;
         ] );
       ( "differential",
         [
