@@ -14,7 +14,7 @@ test:
 # repository benchmark's correctness gates.
 check: build test fuzz-smoke certify-smoke metrics-smoke faults-smoke serve-smoke chaos-smoke count-smoke ladder-smoke perf-smoke bench-parallel
 
-# Differential fuzzing subset for CI (< 10 s): 200 random cases, fixed
+# Differential fuzzing subset for CI (12-16 s on a 2-vCPU host): 200 random cases, fixed
 # seed, fails with a shrunk reproducer on any backend disagreement.
 # Every 4th case also runs the certified SMT path and validates its
 # proof/model certificate against the independent lib/cert checker.

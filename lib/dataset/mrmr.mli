@@ -16,6 +16,12 @@ val select_with_scores : Sample.t array -> k:int -> bins:int -> score array
 (** Like [select] but also reports each pick's relevance and mean
     redundancy at selection time. *)
 
+val select_rows : int array array -> labels:int array -> k:int -> bins:int -> score array
+(** The selection behind [select_with_scores], over plain rows:
+    [rows.(i)] is sample [i]'s feature vector and [labels.(i)] its class
+    in [\[0, n_classes)]. Each gene is binned once; each step adds MI
+    against the newest pick only. Same requirements as [select]. *)
+
 val relevance_ranking : Sample.t array -> bins:int -> (int * float) array
 (** All genes sorted by decreasing [MI(gene; label)] — the pure max-
     relevance baseline, exposed for the feature-selection ablation. *)

@@ -99,54 +99,8 @@ let class_counts samples ~n_classes =
   counts
 
 let select_genes t ~k ~bins =
-  if Array.length t.train = 0 then invalid_arg "Multiclass.select_genes: empty";
-  let labels = Array.map snd t.train in
-  let n_genes = Array.length (fst t.train.(0)) in
-  if k < 1 || k > n_genes then invalid_arg "Multiclass.select_genes: k";
-  let column g = Array.map (fun (x, _) -> x.(g)) t.train in
-  let relevance =
-    Array.init n_genes (fun g ->
-        Mutual_info.feature_label_mi ~values:(column g) ~labels ~bins)
-  in
-  let binned = Array.make n_genes None in
-  let binned_column g =
-    match binned.(g) with
-    | Some b -> b
-    | None ->
-        let b = Mutual_info.discretize (column g) ~bins in
-        binned.(g) <- Some b;
-        b
-  in
-  let taken = Array.make n_genes false in
-  let selected = ref [] in
-  for _ = 1 to k do
-    let best = ref None in
-    for g = 0 to n_genes - 1 do
-      if not taken.(g) then begin
-        let redundancy =
-          match !selected with
-          | [] -> 0.
-          | picks ->
-              List.fold_left
-                (fun acc p ->
-                  acc
-                  +. Mutual_info.mutual_information (binned_column g) (binned_column p))
-                0. picks
-              /. float_of_int (List.length picks)
-        in
-        let value = relevance.(g) -. redundancy in
-        match !best with
-        | Some (_, bv) when bv >= value -> ()
-        | Some _ | None -> best := Some (g, value)
-      end
-    done;
-    match !best with
-    | Some (g, _) ->
-        taken.(g) <- true;
-        selected := g :: !selected
-    | None -> assert false
-  done;
-  Array.of_list (List.rev !selected)
+  Mrmr.select_rows (Array.map fst t.train) ~labels:(Array.map snd t.train) ~k ~bins
+  |> Array.map (fun (s : Mrmr.score) -> s.gene)
 
 let project t ~genes =
   let pick (x, l) = (Array.map (fun g -> x.(g)) genes, l) in

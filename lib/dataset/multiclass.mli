@@ -35,8 +35,8 @@ val generate : ?params:params -> seed:int -> unit -> t
 val class_counts : (int array * int) array -> n_classes:int -> int array
 
 val select_genes : t -> k:int -> bins:int -> int array
-(** mRMR-style selection using the same mutual-information machinery as
-    the binary pipeline (relevance against the integer labels). *)
+(** mRMR selection on the training set: {!Mrmr.select_rows}, the core
+    the binary pipeline uses, with relevance against the integer labels. *)
 
 val project : t -> genes:int array -> t
 (** Restrict every sample to the given genes. *)

@@ -1,14 +1,14 @@
-let discretize values ~bins =
+let discretize (values : int array) ~bins =
   if bins <= 0 then invalid_arg "Mutual_info.discretize: bins must be positive";
   let n = Array.length values in
   if n = 0 then [||]
   else begin
     let sorted = Array.copy values in
-    Array.sort compare sorted;
+    Array.sort Int.compare sorted;
     (* Quantile cut points: value at rank k*n/bins starts bin k. *)
-    let cut k = sorted.(min (n - 1) (k * n / bins)) in
+    let cut k = sorted.(Int.min (n - 1) (k * n / bins)) in
     let cuts = Array.init (bins - 1) (fun k -> cut (k + 1)) in
-    let bin_of v =
+    let bin_of (v : int) =
       (* First cut strictly greater than v determines the bin. *)
       let rec loop i = if i >= bins - 1 then bins - 1 else if v < cuts.(i) then i else loop (i + 1) in
       loop 0
@@ -19,7 +19,7 @@ let discretize values ~bins =
 let check_same_length name xs ys =
   if Array.length xs <> Array.length ys then invalid_arg (name ^ ": length mismatch")
 
-let max_symbol xs = Array.fold_left max 0 xs + 1
+let max_symbol (xs : int array) = Array.fold_left Int.max 0 xs + 1
 
 let entropy xs =
   let n = Array.length xs in
@@ -37,21 +37,29 @@ let entropy xs =
       0. counts
   end
 
-let mutual_information xs ys =
+type table = { kx : int; ky : int; joint : int array; cx : int array; cy : int array }
+
+let table ~kx ~ky =
+  { kx; ky; joint = Array.make (kx * ky) 0; cx = Array.make kx 0; cy = Array.make ky 0 }
+
+let mutual_information_into t xs ys =
   check_same_length "Mutual_info.mutual_information" xs ys;
   let n = Array.length xs in
   if n = 0 then 0.
   else begin
-    let kx = max_symbol xs and ky = max_symbol ys in
-    let joint = Array.make (kx * ky) 0 in
-    let cx = Array.make kx 0 and cy = Array.make ky 0 in
-    Array.iteri
-      (fun i x ->
-        let y = ys.(i) in
-        joint.((x * ky) + y) <- joint.((x * ky) + y) + 1;
-        cx.(x) <- cx.(x) + 1;
-        cy.(y) <- cy.(y) + 1)
-      xs;
+    let { kx; ky; joint; cx; cy } = t in
+    Array.fill joint 0 (kx * ky) 0;
+    Array.fill cx 0 kx 0;
+    Array.fill cy 0 ky 0;
+    for i = 0 to n - 1 do
+      let x = xs.(i) and y = ys.(i) in
+      cx.(x) <- cx.(x) + 1;
+      cy.(y) <- cy.(y) + 1;
+      let c = (x * ky) + y in
+      joint.(c) <- joint.(c) + 1
+    done;
+    (* Cells are summed x-major then y and empty cells are skipped, so any
+       table at least as large as the symbols gives the same double. *)
     let nf = float_of_int n in
     let acc = ref 0. in
     for x = 0 to kx - 1 do
@@ -65,11 +73,9 @@ let mutual_information xs ys =
         end
       done
     done;
-    max 0. !acc
+    (* [max 0. acc] spelled out: same result, no polymorphic compare. *)
+    if 0. >= !acc then 0. else !acc
   end
 
-let feature_label_mi ~values ~labels ~bins =
-  mutual_information (discretize values ~bins) labels
-
-let feature_feature_mi ~values1 ~values2 ~bins =
-  mutual_information (discretize values1 ~bins) (discretize values2 ~bins)
+let mutual_information xs ys =
+  mutual_information_into (table ~kx:(max_symbol xs) ~ky:(max_symbol ys)) xs ys

@@ -11,14 +11,21 @@ val discretize : int array -> bins:int -> int array
 
 val mutual_information : int array -> int array -> float
 (** [mutual_information xs ys] over two equal-length discrete sequences, in
-    nats. Symmetric and non-negative (up to float rounding). *)
+    nats. Symmetric and non-negative (up to float rounding). The one-shot
+    form: it sizes a fresh {!table} to the symbols; loops that score many
+    pairs reuse one table through {!mutual_information_into}. *)
 
 val entropy : int array -> float
 (** Shannon entropy of a discrete sequence, in nats. *)
 
-val feature_label_mi : values:int array -> labels:int array -> bins:int -> float
-(** MI between a raw (undigitised) feature column and discrete labels. *)
+type table
+(** Reusable count arrays for {!mutual_information_into}. *)
 
-val feature_feature_mi :
-  values1:int array -> values2:int array -> bins:int -> float
-(** MI between two raw feature columns, both quantile-binned. *)
+val table : kx:int -> ky:int -> table
+(** Counts for sequences with symbols in [\[0, kx)] and [\[0, ky)]. *)
+
+val mutual_information_into : table -> int array -> int array -> float
+(** [mutual_information_into t xs ys] is the same double as
+    [mutual_information xs ys], counted in [t]'s arrays instead of fresh
+    ones. Raises [Invalid_argument] if a symbol lies outside [t]'s range
+    or the lengths differ. *)

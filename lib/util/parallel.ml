@@ -305,14 +305,6 @@ let mapi ?jobs f arr =
 
 let map ?jobs f arr = mapi ?jobs (fun _ x -> f x) arr
 
-(* The [Some]-results of [out], in index order. *)
-let somes out =
-  Array.fold_right (fun o acc -> match o with Some y -> y :: acc | None -> acc) out []
-
-let filter_mapi ?jobs f arr = somes (mapi ?jobs f arr)
-
-let filter_map ?jobs f arr = filter_mapi ?jobs (fun _ x -> f x) arr
-
 (* Poll [stop] before each element; once any worker observes [stop] the
    whole batch drains and returns [Error ()] — a sentinel, not an
    exception, so a genuine worker exception is never masked by a

@@ -49,11 +49,6 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
 val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
 
-val filter_map : ?jobs:int -> ('a -> 'b option) -> 'a array -> 'b list
-(** [Some]-results in input order. *)
-
-val filter_mapi : ?jobs:int -> (int -> 'a -> 'b option) -> 'a array -> 'b list
-
 val exists : ?jobs:int -> ('a -> bool) -> 'a array -> bool
 (** Workers poll a shared flag and stop early once any element satisfies
     the predicate. *)

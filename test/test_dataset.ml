@@ -322,6 +322,249 @@ let prop_mi_bounded_by_entropy =
            (Dataset.Mutual_info.entropy ys)
          +. 1e-9)
 
+(* ---------- mRMR bit-identity ---------- *)
+
+(* The mRMR selection as it stood before the one-pass core, kept verbatim
+   apart from reading columns and labels through arguments: a polymorphic
+   discretiser, fresh count arrays per MI call and redundancy re-folded
+   over every pick at every step. The properties below require the
+   production code to reproduce its genes and floats bit for bit. *)
+module Reference = struct
+  let discretize values ~bins =
+    if bins <= 0 then invalid_arg "Mutual_info.discretize: bins must be positive";
+    let n = Array.length values in
+    if n = 0 then [||]
+    else begin
+      let sorted = Array.copy values in
+      Array.sort compare sorted;
+      (* Quantile cut points: value at rank k*n/bins starts bin k. *)
+      let cut k = sorted.(min (n - 1) (k * n / bins)) in
+      let cuts = Array.init (bins - 1) (fun k -> cut (k + 1)) in
+      let bin_of v =
+        (* First cut strictly greater than v determines the bin. *)
+        let rec loop i = if i >= bins - 1 then bins - 1 else if v < cuts.(i) then i else loop (i + 1) in
+        loop 0
+      in
+      Array.map bin_of values
+    end
+
+  let max_symbol xs = Array.fold_left max 0 xs + 1
+
+  let mutual_information xs ys =
+    let n = Array.length xs in
+    if n = 0 then 0.
+    else begin
+      let kx = max_symbol xs and ky = max_symbol ys in
+      let joint = Array.make (kx * ky) 0 in
+      let cx = Array.make kx 0 and cy = Array.make ky 0 in
+      Array.iteri
+        (fun i x ->
+          let y = ys.(i) in
+          joint.((x * ky) + y) <- joint.((x * ky) + y) + 1;
+          cx.(x) <- cx.(x) + 1;
+          cy.(y) <- cy.(y) + 1)
+        xs;
+      let nf = float_of_int n in
+      let acc = ref 0. in
+      for x = 0 to kx - 1 do
+        for y = 0 to ky - 1 do
+          let j = joint.((x * ky) + y) in
+          if j > 0 then begin
+            let pxy = float_of_int j /. nf in
+            let px = float_of_int cx.(x) /. nf in
+            let py = float_of_int cy.(y) /. nf in
+            acc := !acc +. (pxy *. log (pxy /. (px *. py)))
+          end
+        done
+      done;
+      max 0. !acc
+    end
+
+  let feature_label_mi ~values ~labels ~bins =
+    mutual_information (discretize values ~bins) labels
+
+  let relevances ~column ~labels ~n_genes ~bins =
+    Array.init n_genes (fun g -> feature_label_mi ~values:(column g) ~labels ~bins)
+
+  let relevance_ranking ~column ~labels ~n_genes ~bins =
+    let rel = relevances ~column ~labels ~n_genes ~bins in
+    let ranked = Array.mapi (fun g r -> (g, r)) rel in
+    Array.sort (fun (_, a) (_, b) -> compare b a) ranked;
+    ranked
+
+  let select_with_scores ~column ~labels ~n_genes ~k ~bins : Dataset.Mrmr.score array =
+    if k < 1 || k > n_genes then invalid_arg "Mrmr.select: k out of range";
+    let rel = relevances ~column ~labels ~n_genes ~bins in
+    (* Discretised columns are cached lazily: pairwise MI is only ever needed
+       against the few selected genes. *)
+    let binned = Array.make n_genes None in
+    let binned_column g =
+      match binned.(g) with
+      | Some b -> b
+      | None ->
+          let b = discretize (column g) ~bins in
+          binned.(g) <- Some b;
+          b
+    in
+    let selected = ref [] in
+    let taken = Array.make n_genes false in
+    let mean_redundancy g =
+      match !selected with
+      | [] -> 0.
+      | picks ->
+          let total =
+            List.fold_left
+              (fun acc (p : Dataset.Mrmr.score) ->
+                acc +. mutual_information (binned_column g) (binned_column p.gene))
+              0. picks
+          in
+          total /. float_of_int (List.length picks)
+    in
+    for _step = 1 to k do
+      let best = ref None in
+      for g = 0 to n_genes - 1 do
+        if not taken.(g) then begin
+          let redundancy = mean_redundancy g in
+          let value = rel.(g) -. redundancy in
+          match !best with
+          | Some (_, _, best_value) when best_value >= value -> ()
+          | Some _ | None -> best := Some (g, redundancy, value)
+        end
+      done;
+      match !best with
+      | None -> assert false
+      | Some (g, redundancy, _) ->
+          taken.(g) <- true;
+          selected := { Dataset.Mrmr.gene = g; relevance = rel.(g); redundancy } :: !selected
+    done;
+    Array.of_list (List.rev !selected)
+end
+
+let bits = Int64.bits_of_float
+
+let same_scores (a : Dataset.Mrmr.score array) (b : Dataset.Mrmr.score array) =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (x : Dataset.Mrmr.score) (y : Dataset.Mrmr.score) ->
+         x.gene = y.gene
+         && bits x.relevance = bits y.relevance
+         && bits x.redundancy = bits y.redundancy)
+       a b
+
+(* Small matrices built to provoke ties: values from a narrow range with
+   negatives, constant columns, exact duplicates of earlier columns, as
+   few as one sample for up to five bins, and k up to every gene. *)
+let gen_selection ~n_classes =
+  let open QCheck.Gen in
+  let* n_samples = int_range 1 12 in
+  let* n_genes = int_range 1 8 in
+  let* columns =
+    let rec build g acc =
+      if g = n_genes then return (Array.of_list (List.rev acc))
+      else
+        let* kind = int_range 0 3 in
+        let* column =
+          match kind with
+          | 0 -> map (Array.make n_samples) (int_range (-3) 3)
+          | 1 when g > 0 -> map (fun j -> Array.copy (List.nth acc j)) (int_range 0 (g - 1))
+          | _ -> array_size (return n_samples) (int_range (-3) 3)
+        in
+        build (g + 1) (column :: acc)
+    in
+    build 0 []
+  in
+  let* labels = array_size (return n_samples) (int_range 0 (n_classes - 1)) in
+  let* bins = int_range 1 5 in
+  let+ k = int_range 1 n_genes in
+  (Array.init n_samples (fun i -> Array.map (fun c -> c.(i)) columns), labels, k, bins)
+
+let print_selection (rows, labels, k, bins) =
+  Printf.sprintf "k=%d bins=%d labels=[%s] rows=[%s]" k bins
+    (String.concat ";" (Array.to_list (Array.map string_of_int labels)))
+    (String.concat " | "
+       (Array.to_list
+          (Array.map
+             (fun r -> String.concat ";" (Array.to_list (Array.map string_of_int r)))
+             rows)))
+
+let reference_args rows labels =
+  ( (fun g -> Array.map (fun r -> r.(g)) rows),
+    labels,
+    Array.length rows.(0) )
+
+let prop_mrmr_matches_reference =
+  QCheck.Test.make ~name:"select_with_scores = reference, bit for bit" ~count:500
+    (QCheck.make ~print:print_selection (gen_selection ~n_classes:2))
+    (fun (rows, labels, k, bins) ->
+      let samples =
+        Array.map2
+          (fun features l -> { Dataset.Sample.features; label = Dataset.Sample.label_of_int l })
+          rows labels
+      in
+      let column, labels, n_genes = reference_args rows labels in
+      let ranked = Dataset.Mrmr.relevance_ranking samples ~bins in
+      let expected_ranked = Reference.relevance_ranking ~column ~labels ~n_genes ~bins in
+      same_scores
+        (Dataset.Mrmr.select_with_scores samples ~k ~bins)
+        (Reference.select_with_scores ~column ~labels ~n_genes ~k ~bins)
+      && Array.for_all2
+           (fun (g, r) (g', r') -> g = g' && bits r = bits r')
+           ranked expected_ranked)
+
+let prop_multiclass_matches_reference =
+  QCheck.Test.make ~name:"Multiclass.select_genes = reference (3-4 classes)" ~count:500
+    (QCheck.make ~print:print_selection
+       QCheck.Gen.(int_range 3 4 >>= fun n_classes -> gen_selection ~n_classes))
+    (fun (rows, labels, k, bins) ->
+      let t =
+        {
+          Dataset.Multiclass.train = Array.map2 (fun r l -> (r, l)) rows labels;
+          test = [||];
+          n_classes = 1 + Array.fold_left max 0 labels;
+          informative = [||];
+        }
+      in
+      let column, labels, n_genes = reference_args rows labels in
+      Dataset.Multiclass.select_genes t ~k ~bins
+      = Array.map
+          (fun (s : Dataset.Mrmr.score) -> s.gene)
+          (Reference.select_with_scores ~column ~labels ~n_genes ~k ~bins))
+
+let prop_discretize_matches_reference =
+  QCheck.Test.make ~name:"discretize = reference" ~count:500
+    (QCheck.make
+       ~print:(fun (values, bins) ->
+         Printf.sprintf "bins=%d [%s]" bins
+           (String.concat ";" (Array.to_list (Array.map string_of_int values))))
+       QCheck.Gen.(
+         pair
+           (oneof
+              [
+                array_size (int_range 0 100) (int_range (-1000) 1000);
+                array_size (int_range 0 100) (int_range (-2) 2);
+                map2 Array.make (int_range 0 100) (int_range (-5) 5);
+              ])
+           (int_range 1 6)))
+    (fun (values, bins) ->
+      Dataset.Mutual_info.discretize values ~bins = Reference.discretize values ~bins)
+
+(* The paper's selection at the default configuration (Golub-shaped data,
+   seed 2028, 3 bins, k = 5), genes and score bits as the pre-rewrite code
+   produced them. *)
+let test_mrmr_paper_selection () =
+  let d = Dataset.Golub.generate ~params:Dataset.Golub.default_params ~seed:2028 () in
+  let scores = Dataset.Mrmr.select_with_scores d.train ~k:5 ~bins:3 in
+  Alcotest.(check (array int)) "genes" [| 4320; 5765; 4925; 2573; 3460 |]
+    (Array.map (fun (s : Dataset.Mrmr.score) -> s.gene) scores);
+  let hex f = Printf.sprintf "%Lx" (bits f) in
+  Alcotest.(check (array string)) "relevance bits"
+    [| "3fd776bbefd4fd4f"; "3fd776bbefd4fd4f"; "3fd4be048af98f45"; "3fd4be048af98f45";
+       "3fd4be048af98f45" |]
+    (Array.map (fun (s : Dataset.Mrmr.score) -> hex s.relevance) scores);
+  Alcotest.(check (array string)) "redundancy bits"
+    [| "0"; "3fcb25ef89de9ece"; "3fc91e06860c40da"; "3fca8b72a8c67713"; "3fcace78feeeb8ea" |]
+    (Array.map (fun (s : Dataset.Mrmr.score) -> hex s.redundancy) scores)
+
 let () =
   Alcotest.run "dataset"
     [
@@ -355,6 +598,7 @@ let () =
           Alcotest.test_case "symmetric" `Quick test_mi_symmetric;
           QCheck_alcotest.to_alcotest prop_mi_nonnegative;
           QCheck_alcotest.to_alcotest prop_mi_bounded_by_entropy;
+          QCheck_alcotest.to_alcotest prop_discretize_matches_reference;
         ] );
       ( "golub-csv",
         [
@@ -380,5 +624,8 @@ let () =
           Alcotest.test_case "finds informative genes" `Quick test_mrmr_finds_informative;
           Alcotest.test_case "first pick max relevance" `Quick test_mrmr_first_is_max_relevance;
           Alcotest.test_case "k bounds" `Quick test_mrmr_k_bounds;
+          Alcotest.test_case "paper selection pinned" `Quick test_mrmr_paper_selection;
+          QCheck_alcotest.to_alcotest prop_mrmr_matches_reference;
+          QCheck_alcotest.to_alcotest prop_multiclass_matches_reference;
         ] );
     ]

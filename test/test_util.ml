@@ -226,18 +226,6 @@ let test_parallel_mapi_order () =
         (Util.Parallel.mapi ~jobs (fun i x -> (i, x + 1)) arr = expected))
     [ 1; 2; 4; 16 ]
 
-let test_parallel_filter_map_order () =
-  let arr = Array.init 101 (fun i -> i) in
-  let f x = if x mod 3 = 0 then Some (x * 10) else None in
-  let expected = List.filter_map f (Array.to_list arr) in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "filter_map jobs=%d" jobs)
-        expected
-        (Util.Parallel.filter_map ~jobs f arr))
-    [ 1; 2; 4 ]
-
 let test_parallel_exists () =
   let arr = Array.init 200 (fun i -> i) in
   List.iter
@@ -250,8 +238,6 @@ let test_parallel_exists () =
 
 let test_parallel_empty_and_small () =
   Alcotest.(check bool) "empty map" true (Util.Parallel.map ~jobs:4 succ [||] = [||]);
-  Alcotest.(check (list int)) "empty filter_map" []
-    (Util.Parallel.filter_map ~jobs:4 (fun x -> Some x) [||]);
   Alcotest.(check bool) "more jobs than elements" true
     (Util.Parallel.map ~jobs:16 succ [| 1; 2; 3 |] = [| 2; 3; 4 |])
 
@@ -316,7 +302,7 @@ let test_parallel_adversarial_delays () =
   in
   let fi i x = if f x = 0 then Some (i, x) else None in
   let expected_map = Util.Parallel.map ~jobs:1 f arr in
-  let expected_fm = Util.Parallel.filter_mapi ~jobs:1 fi arr in
+  let expected_mi = Util.Parallel.mapi ~jobs:1 fi arr in
   List.iter
     (fun jobs ->
       Alcotest.(check bool)
@@ -324,9 +310,9 @@ let test_parallel_adversarial_delays () =
         true
         (Util.Parallel.map ~jobs f arr = expected_map);
       Alcotest.(check bool)
-        (Printf.sprintf "filter_mapi jobs=%d" jobs)
+        (Printf.sprintf "mapi jobs=%d" jobs)
         true
-        (Util.Parallel.filter_mapi ~jobs fi arr = expected_fm))
+        (Util.Parallel.mapi ~jobs fi arr = expected_mi))
     [ 2; 3; 4; 8 ]
 
 let test_parallel_steals_balance_skew () =
@@ -525,14 +511,14 @@ let with_blocked_pool f =
       f ())
 
 let test_pool_batch_while_blocked () =
-  let thirds x = if x mod 3 = 0 then Some x else None in
+  let thirds i x = if x mod 3 = 0 then Some (i, x) else None in
   let expected = Util.Parallel.map ~jobs:1 nested_f nested_arr in
-  let expected_fm = Util.Parallel.filter_map ~jobs:1 thirds nested_arr in
+  let expected_mi = Util.Parallel.mapi ~jobs:1 thirds nested_arr in
   with_blocked_pool @@ fun () ->
   Alcotest.(check (array int)) "map completes on the caller" expected
     (Util.Parallel.map ~jobs:4 nested_f nested_arr);
-  Alcotest.(check (list int)) "filter_map completes on the caller" expected_fm
-    (Util.Parallel.filter_map ~jobs:4 thirds nested_arr);
+  Alcotest.(check bool) "mapi completes on the caller" true
+    (Util.Parallel.mapi ~jobs:4 thirds nested_arr = expected_mi);
   Alcotest.(check bool) "exists completes on the caller" true
     (Util.Parallel.exists ~jobs:4 (fun x -> x = 40) nested_arr);
   let (w, v), outcomes =
@@ -1003,7 +989,6 @@ let () =
         [
           Alcotest.test_case "map = Array.map" `Quick test_parallel_map_matches_array_map;
           Alcotest.test_case "mapi order" `Quick test_parallel_mapi_order;
-          Alcotest.test_case "filter_map order" `Quick test_parallel_filter_map_order;
           Alcotest.test_case "exists" `Quick test_parallel_exists;
           Alcotest.test_case "empty/small arrays" `Quick test_parallel_empty_and_small;
           Alcotest.test_case "worker exception" `Quick test_parallel_worker_exception_propagates;
